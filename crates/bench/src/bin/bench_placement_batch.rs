@@ -10,8 +10,8 @@
 //!   rate is read and it leaves again (what `probe_rate` did before the
 //!   batch API, and the best the per-candidate interface allows);
 //! * **batched** — one [`MaxMinSolver::solve_batch`]: a single logged
-//!   solve whose frozen freeze-round prefix is replayed per candidate in
-//!   `O(rounds · path)` with early exit.
+//!   solve whose freeze-round log is indexed once, then one `O(path)`
+//!   index read per candidate.
 //!
 //! The two sides must agree **bit for bit** on every candidate (asserted
 //! per run). A [`ScenarioPool`] section additionally reports the parallel

@@ -298,7 +298,9 @@ pub struct SolveStats {
     pub probe_batches: u64,
     /// What-if candidates rated (batched and single-probe).
     pub probes: u64,
-    /// Logged rounds walked by probe replays, summed over candidates.
+    /// Logged rounds up to each probe's fire round (all of them if none
+    /// fires), summed over candidates: how deep into the solve the
+    /// what-if answers lie.
     pub probe_replay_rounds: u64,
 }
 
@@ -882,13 +884,14 @@ impl FlowSim {
     /// simulation. This is the flow-level analogue of starting a probe
     /// connection.
     ///
-    /// Implemented as a batched-what-if replay: the solver keeps the
-    /// freeze-round log of the committed allocation, and the probe walks
-    /// that shared frozen prefix until one of its own resources would
-    /// become the bottleneck — bit-identical to adding the flow and
-    /// re-solving, but `O(rounds · path)` and **observably
-    /// side-effect-free**: the arena is never touched, so the simulation
-    /// state is exactly as it was (only solver scratch is written).
+    /// Implemented as a read of the solver's saturation index: the solver
+    /// keeps the freeze-round log of the committed allocation and, once
+    /// per log, indexes for every resource the round at which it would
+    /// bottleneck one extra flow. The probe takes the earliest such round
+    /// over its path. That is bit-identical to adding the flow and
+    /// re-solving, but `O(path)` and **observably side-effect-free**: the
+    /// arena is never touched, so the simulation state is exactly as it
+    /// was (only solver scratch is written).
     pub fn probe_rate(&mut self, src: NodeId, dst: NodeId, hose: Option<HoseId>) -> f64 {
         self.ensure_probe_log();
         self.fill_probe_path(src, dst, hose);

@@ -27,7 +27,11 @@
 //!   what-if probes and [`MaxMinSolver::solve_warm`] — the warm-started
 //!   delta solve that replays the log after arena churn and runs live
 //!   rounds only for the perturbed cascade (see the crate docs for the
-//!   cold → logged → warm lifecycle).
+//!   cold → logged → warm lifecycle). The first probe against a fresh
+//!   log folds it into a per-resource *saturation index* (`ProbeIndex`):
+//!   for every resource, the round at which it would bottleneck one extra
+//!   flow, and that flow's share there. Every probe after that reads the
+//!   index in `O(path)`.
 //!
 //! # Arena invariants
 //!
@@ -476,8 +480,8 @@ impl ShareKey {
 /// draining a batch allocates nothing once the buffers are warm — reuse
 /// one instance via [`ProbeBatch::clear`]. Every candidate is evaluated
 /// **independently**: "what rate would this flow get if it alone joined
-/// the current flow set", all candidates sharing the frozen prefix of a
-/// single logged solve instead of paying one full solve each.
+/// the current flow set", all candidates reading the saturation index of
+/// a single logged solve instead of paying one full solve each.
 #[derive(Debug, Default, Clone)]
 pub struct ProbeBatch {
     /// Flat candidate resource ids.
@@ -528,17 +532,12 @@ impl ProbeBatch {
     }
 }
 
-/// Round log of one progressive-filling solve — the *shared frozen prefix*
-/// that candidate replays walk instead of re-running the solve.
+/// Round log of one progressive-filling solve — the input of warm
+/// solves, of the sharded merge, and of the probes' saturation index.
 ///
 /// Per freeze round it records the popped bottleneck key (version bits
-/// zeroed), the freeze level, and the per-resource `(id, frozen-count)`
-/// deltas the round applied. A candidate crossing resources `S` perturbs
-/// only the shares of `S` (each gains one user), so the base rounds replay
-/// unchanged until the first round whose bottleneck key is beaten by a
-/// candidate share — at which point the candidate itself freezes, because
-/// the winning resource is one of its own. Replay therefore costs
-/// `O(rounds · |S|)` with early exit, not a full solve.
+/// zeroed), the freeze level, the per-resource `(id, frozen-count)`
+/// deltas the round applied, and the slots it froze.
 ///
 /// Crate-visible (fields included) so the sharded solve in
 /// [`crate::shard`] can merge per-shard logs into one global-order log;
@@ -546,8 +545,11 @@ impl ProbeBatch {
 #[derive(Debug, Default)]
 pub(crate) struct SolveLog {
     /// Per round: version-stripped bottleneck [`ShareKey`] at pop time.
-    /// Strictly increasing within one log: freeze levels never decrease,
-    /// and at equal level the lower resource id pops first.
+    /// **Not monotone.** Levels rise in exact arithmetic, but a share
+    /// recomputed after a round, `(slack − d × level) / users`, can round
+    /// 1–2 ulp below the level that round froze at. So a later key can
+    /// sit just below an earlier one at equal levels, e.g.
+    /// `(1.4285714285714287e8, r107)` then `(1.4285714285714284e8, r152)`.
     pub(crate) keys: Vec<u128>,
     /// Per round: the freeze level (the key's share, clamped to ≥ 0).
     pub(crate) levels: Vec<f64>,
@@ -567,6 +569,9 @@ pub(crate) struct SolveLog {
     pub(crate) n_resources: u32,
     /// False until the first logged solve, and after a plain `solve`.
     pub(crate) valid: bool,
+    /// Whether the owning solver's [`ProbeIndex`] describes this log.
+    /// Set by the first probe after the log was recorded.
+    pub(crate) indexed: bool,
 }
 
 impl SolveLog {
@@ -579,7 +584,158 @@ impl SolveLog {
         self.freeze_slots.clear();
         self.freeze_end.clear();
         self.valid = false;
+        self.indexed = false;
     }
+}
+
+/// Per-resource "+1-user saturation index" over one [`SolveLog`]. It
+/// answers a what-if probe in `O(path)`.
+///
+/// A candidate flow crossing resources `S` only *adds one user* to each
+/// of them until it freezes: it consumes nothing. So the logged rounds
+/// run unchanged until the first round `k` whose key some `r ∈ S`,
+/// carrying that extra user, beats or ties:
+/// `ShareKey(slack_r / (users_r + 1), r) ≤ keys[k]`. The candidate
+/// freezes there, at that share. Each resource's `(slack, users)` moves
+/// only through the log's own deltas to it, whatever else the candidate
+/// crosses. The index therefore stores, per resource `r`, the first
+/// round `k_r` at which `r` alone would fire (`rounds` if none) and its
+/// key then.
+///
+/// A candidate fires at `K = min k_r` over its path. At round `K`, every
+/// path resource that has not fired still holds a key above `keys[K]`,
+/// and so above the key of each one that fires. The candidate's
+/// bottleneck is therefore the lexicographic minimum of `(k_r, key_r)`
+/// over its path. Each `key_r` comes from the same float operations, in
+/// the same order, as in a round-by-round walk of the log for that
+/// candidate, and that walk matches adding the flow and solving from
+/// scratch bit for bit.
+///
+/// Logged keys dip (see [`SolveLog::keys`]), so a bisection of `keys`
+/// can land on a later round than the first that fires. The search
+/// bisects the keys' running maximum instead and, where that lands
+/// before the resource's current state began, scans forward.
+#[derive(Debug, Default)]
+struct ProbeIndex {
+    /// Per resource: `k_r (32 bits) | share bits (64) | resource (32)`,
+    /// so one integer `min` orders by `(k_r, key_r)`.
+    entry: Vec<u128>,
+    /// Running maximum of the log's keys.
+    key_max: Vec<u128>,
+    /// Build scratch: per-resource slack and base users, advanced
+    /// through the log's deltas in round order.
+    slack: Vec<f64>,
+    users: Vec<u32>,
+    /// Build scratch: the round since which the resource's state has
+    /// held, or `SETTLED` once its entry is final.
+    since: Vec<u32>,
+}
+
+/// `ProbeIndex::since` sentinel: the resource's entry is final.
+const SETTLED: u32 = u32::MAX;
+
+impl ProbeIndex {
+    /// Index `log`, recorded against `capacities` and an arena with the
+    /// per-resource live-flow counts `users`. Allocation-free once the
+    /// buffers have reached the resource and round counts.
+    fn build(&mut self, log: &SolveLog, capacities: &[f64], users: &[u32]) {
+        let nr = log.n_resources as usize;
+        let rounds = log.keys.len();
+        self.key_max.clear();
+        let mut max = 0;
+        self.key_max.extend(log.keys.iter().map(|&k| {
+            max = max.max(k);
+            max
+        }));
+        self.slack.clear();
+        self.slack.extend_from_slice(&capacities[..nr]);
+        self.users.clear();
+        self.users.extend_from_slice(&users[..nr]);
+        self.since.clear();
+        self.since.resize(nr, 0);
+        self.entry.clear();
+        self.entry.resize(nr, 0);
+        let mut t0 = 0usize;
+        for k in 0..rounds {
+            let t1 = log.round_end[k] as usize;
+            let level = log.levels[k];
+            for t in t0..t1 {
+                let r = log.touched_res[t] as usize;
+                if self.since[r] == SETTLED {
+                    continue;
+                }
+                // `r`'s state held from round `since[r]` through round
+                // `k`, whose check precedes its deltas.
+                let key = self.plus_one_key(r);
+                if let Some(j) = self.first_fire(&log.keys, self.since[r] as usize, k + 1, key) {
+                    self.entry[r] = pack_entry(j, key);
+                    self.since[r] = SETTLED;
+                    continue;
+                }
+                let d = log.touched_delta[t];
+                self.users[r] -= d;
+                self.slack[r] -= d as f64 * level;
+                self.since[r] = k as u32 + 1;
+            }
+            t0 = t1;
+        }
+        for r in 0..nr {
+            if self.since[r] != SETTLED {
+                let key = self.plus_one_key(r);
+                let j = self.first_fire(&log.keys, self.since[r] as usize, rounds, key);
+                self.entry[r] = pack_entry(j.unwrap_or(rounds), key);
+            }
+        }
+    }
+
+    /// Resource `r`'s current key with one extra user.
+    #[inline]
+    fn plus_one_key(&self, r: usize) -> u128 {
+        let share = (self.slack[r] / (self.users[r] + 1) as f64).max(0.0);
+        ShareKey::new(share, r as u32, 0).0
+    }
+
+    /// First round `j` in `from..end` with `key ≤ keys[j]`.
+    #[inline]
+    fn first_fire(&self, keys: &[u128], from: usize, end: usize, key: u128) -> Option<usize> {
+        // The running maximum first reaches `key` exactly at the first
+        // key that does.
+        let j = self.key_max[..end].partition_point(|&m| m < key);
+        if j >= from {
+            return (j < end).then_some(j);
+        }
+        // An earlier round's key already reached `key`; the first one in
+        // the window may still dip below it.
+        (from..end).find(|&i| key <= keys[i])
+    }
+
+    /// Rate of a candidate crossing `s`, plus the rounds a walk of the
+    /// log would have visited to reach it: the fire round + 1, or every
+    /// round if none fires. With no round firing, every base flow froze
+    /// without saturating the path, and the candidate's rate is the
+    /// smallest share left on it, which is the same minimum.
+    #[inline]
+    fn rate(&self, s: &[u32], rounds: usize) -> (f64, u64) {
+        assert!(!s.is_empty(), "probe flow traverses no resources");
+        debug_assert!(
+            s.iter().enumerate().all(|(i, r)| !s[..i].contains(r)),
+            "probe flow lists a resource twice (it would be double-charged)"
+        );
+        let mut best = u128::MAX;
+        for &r in s {
+            assert!((r as usize) < self.entry.len(), "probe: bad resource {r}");
+            best = best.min(self.entry[r as usize]);
+        }
+        let fired = (best >> 96) as usize;
+        (f64::from_bits((best >> 32) as u64), (fired + 1).min(rounds) as u64)
+    }
+}
+
+/// Pack a [`ProbeIndex`] entry: fire round above the version-stripped
+/// key's `(share, resource)` bits.
+#[inline]
+fn pack_entry(round: usize, key: u128) -> u128 {
+    ((round as u128) << 96) | (key >> 32)
 }
 
 /// Progressive-filling solver with persistent scratch state.
@@ -591,9 +747,8 @@ impl SolveLog {
 /// [`MaxMinSolver::solve_logged`] additionally records the freeze-round
 /// sequence, unlocking the batched what-if APIs ([`MaxMinSolver::probe`],
 /// [`MaxMinSolver::probe_batch`], [`MaxMinSolver::solve_batch`]): rate a
-/// hypothetical extra flow in `O(rounds · path)` by replaying the shared
-/// frozen prefix, bit-identical to adding the flow and solving from
-/// scratch.
+/// hypothetical extra flow in `O(path)` from the log's saturation index,
+/// bit-identical to adding the flow and solving from scratch.
 #[derive(Debug, Default)]
 pub struct MaxMinSolver {
     /// Backing buffer for the lazy min-heap of per-resource shares; kept
@@ -612,7 +767,7 @@ pub struct MaxMinSolver {
     touched: Vec<u32>,
     /// Scratch: per-resource count of flows frozen this round.
     delta: Vec<u32>,
-    /// Freeze-round log of the last `solve_logged`, replayed by probes.
+    /// Freeze-round log of the last `solve_logged` or warm solve.
     log: SolveLog,
     /// Spare log buffers: [`MaxMinSolver::solve_warm`] re-records the log
     /// while reading the old one, so the two alternate between `log` and
@@ -628,13 +783,9 @@ pub struct MaxMinSolver {
     /// Warm-solve scratch: resource → position in `wheap` (`WPOS_NONE`
     /// when absent).
     wpos: Vec<u32>,
-    /// Probe scratch: resource → index in the candidate's list (or
-    /// `PROBE_NONE`), sized to the resource space.
-    probe_mark: Vec<u32>,
-    /// Probe scratch: per-candidate-resource remaining capacity.
-    probe_slack: Vec<f64>,
-    /// Probe scratch: per-candidate-resource unfrozen *base* flow count.
-    probe_users: Vec<u32>,
+    /// Saturation index of `log`, built by the first probe after the
+    /// log was recorded (valid while `log.indexed`).
+    index: ProbeIndex,
     /// Warm-solve scratch: copy of the arena's dirty window, taken before
     /// the walk closes it (the walk borrows the arena mutably).
     seed_buf: Vec<u32>,
@@ -645,14 +796,11 @@ pub struct MaxMinSolver {
     /// Observability: freeze rounds the last solve replayed verbatim
     /// from the previous log (zero for a cold solve).
     last_replayed_rounds: u64,
-    /// Observability: logged rounds walked by the last
-    /// [`MaxMinSolver::probe`] / [`MaxMinSolver::probe_batch`], summed
-    /// over the batch's candidates.
+    /// Observability: logged rounds up to each candidate's fire round
+    /// in the last [`MaxMinSolver::probe`] / [`MaxMinSolver::probe_batch`],
+    /// summed over the batch's candidates.
     last_probe_replay_rounds: u64,
 }
-
-/// `probe_mark` sentinel: resource not crossed by the current candidate.
-const PROBE_NONE: u32 = u32::MAX;
 
 /// `wpos` sentinel: resource has no entry in the warm heap.
 const WPOS_NONE: u32 = u32::MAX;
@@ -920,9 +1068,6 @@ impl MaxMinSolver {
         self.last_replayed_rounds = 0;
         self.perturbed.clear();
         self.perturbed.resize(nr, false);
-        if self.probe_mark.len() < nr {
-            self.probe_mark.resize(nr, PROBE_NONE);
-        }
         let remaining = arena.n_flows();
 
         self.log.clear();
@@ -1185,9 +1330,10 @@ impl MaxMinSolver {
         self.last_replayed_rounds
     }
 
-    /// Logged rounds walked by the last [`MaxMinSolver::probe`] or
-    /// [`MaxMinSolver::probe_batch`], summed over the batch's candidates
-    /// — the replay depth behind each what-if answer. Diagnostics only.
+    /// Logged rounds up to and including each candidate's fire round (all
+    /// of them if none fires) in the last [`MaxMinSolver::probe`] or
+    /// [`MaxMinSolver::probe_batch`], summed over the batch's candidates:
+    /// how deep into the solve each what-if answer lies. Diagnostics only.
     pub fn last_probe_replay_rounds(&self) -> u64 {
         self.last_probe_replay_rounds
     }
@@ -1224,9 +1370,6 @@ impl MaxMinSolver {
             self.log.clear();
             self.log.generation = arena.generation();
             self.log.n_resources = nr as u32;
-            if self.probe_mark.len() < nr {
-                self.probe_mark.resize(nr, PROBE_NONE);
-            }
             self.log.valid = true;
         }
         let nslots = arena.slot_bound();
@@ -1361,7 +1504,9 @@ impl MaxMinSolver {
     /// if it joined the flow set last solved by
     /// [`MaxMinSolver::solve_logged`] — **bit-identical** to adding the
     /// flow to `arena`, solving from scratch, and reading its rate, but in
-    /// `O(rounds · path)` by replaying the logged frozen prefix.
+    /// `O(path)` from the log's saturation index. The first probe after
+    /// the log was recorded builds the index, in about
+    /// `O((logged deltas + resources) · log rounds)`.
     ///
     /// The committed solution is untouched: neither `arena` nor the base
     /// rates change (the only writes are to internal scratch), so probing
@@ -1375,9 +1520,10 @@ impl MaxMinSolver {
             self.log_matches(arena),
             "probe without a current logged solve (call solve_logged first)"
         );
-        assert!(capacities.len() >= self.log.n_resources as usize, "capacities too short");
-        self.last_probe_replay_rounds = 0;
-        self.replay(capacities, arena, resources)
+        self.ensure_index(capacities, arena);
+        let (rate, rounds) = self.index.rate(resources, self.log.keys.len());
+        self.last_probe_replay_rounds = rounds;
+        rate
     }
 
     /// [`MaxMinSolver::probe`] over a whole batch: `out[i]` becomes the
@@ -1395,12 +1541,14 @@ impl MaxMinSolver {
             self.log_matches(arena),
             "probe_batch without a current logged solve (call solve_logged first)"
         );
-        assert!(capacities.len() >= self.log.n_resources as usize, "capacities too short");
+        self.ensure_index(capacities, arena);
+        let log_rounds = self.log.keys.len();
         self.last_probe_replay_rounds = 0;
         out.clear();
         out.reserve(batch.len());
         for i in 0..batch.len() {
-            let rate = self.replay(capacities, arena, batch.resources(i));
+            let (rate, rounds) = self.index.rate(batch.resources(i), log_rounds);
+            self.last_probe_replay_rounds += rounds;
             out.push(rate);
         }
     }
@@ -1421,84 +1569,14 @@ impl MaxMinSolver {
         self.probe_batch(capacities, arena, batch, out);
     }
 
-    /// Replay the logged rounds for one candidate.
-    ///
-    /// Before the candidate freezes it only *adds one user* to each of its
-    /// resources — it consumes nothing — so every base round whose
-    /// bottleneck key beats all candidate shares executes exactly as
-    /// logged. The walk maintains `(slack, users)` for the candidate's
-    /// resources only, applying each round's logged deltas with the same
-    /// arithmetic (`slack -= d × level`) the solver used, and stops at the
-    /// first round where a candidate share wins the pop: that resource is
-    /// the candidate's bottleneck and the share is its rate. If no round
-    /// fires, the base set froze entirely and the candidate gets the
-    /// smallest remaining slack on its path.
-    fn replay(&mut self, capacities: &[f64], arena: &FlowArena, s: &[u32]) -> f64 {
-        assert!(!s.is_empty(), "probe flow traverses no resources");
-        let nr = self.log.n_resources as usize;
-        if self.probe_slack.len() < s.len() {
-            self.probe_slack.resize(s.len(), 0.0);
-            self.probe_users.resize(s.len(), 0);
+    /// Build the saturation index of the current log unless it is
+    /// already built. The log must match `arena`.
+    fn ensure_index(&mut self, capacities: &[f64], arena: &FlowArena) {
+        if !self.log.indexed {
+            assert!(capacities.len() >= self.log.n_resources as usize, "capacities too short");
+            self.index.build(&self.log, capacities, arena.users_counts());
+            self.log.indexed = true;
         }
-        for (i, &r) in s.iter().enumerate() {
-            let ri = r as usize;
-            assert!(ri < nr, "probe: bad resource {r}");
-            debug_assert!(
-                self.probe_mark[ri] == PROBE_NONE,
-                "probe flow lists resource {r} twice (it would be double-charged)"
-            );
-            self.probe_mark[ri] = i as u32;
-            self.probe_slack[i] = capacities[ri];
-            self.probe_users[i] = arena.users(r) as u32;
-        }
-        let mut rate = None;
-        let mut t0 = 0usize;
-        for k in 0..self.log.keys.len() {
-            self.last_probe_replay_rounds += 1;
-            // The candidate's best (share, resource) key, with one extra
-            // user on each of its resources.
-            let mut cmin = ShareKey(u128::MAX);
-            for (i, &r) in s.iter().enumerate() {
-                let share = (self.probe_slack[i] / (self.probe_users[i] + 1) as f64).max(0.0);
-                let key = ShareKey::new(share, r, 0);
-                if key < cmin {
-                    cmin = key;
-                }
-            }
-            if cmin.0 <= self.log.keys[k] {
-                // A candidate resource saturates before (or exactly as)
-                // the logged bottleneck: the candidate freezes here.
-                rate = Some(cmin.share());
-                break;
-            }
-            // Round executes as logged; apply its deltas to the
-            // candidate's resources.
-            let t1 = self.log.round_end[k] as usize;
-            let level = self.log.levels[k];
-            for t in t0..t1 {
-                let i = self.probe_mark[self.log.touched_res[t] as usize];
-                if i != PROBE_NONE {
-                    let d = self.log.touched_delta[t];
-                    self.probe_users[i as usize] -= d;
-                    self.probe_slack[i as usize] -= d as f64 * level;
-                }
-            }
-            t0 = t1;
-        }
-        let rate = rate.unwrap_or_else(|| {
-            // Every base flow froze without saturating the candidate's
-            // path: it bottlenecks on its smallest remaining slack.
-            let mut best = f64::INFINITY;
-            for i in 0..s.len() {
-                let share = (self.probe_slack[i] / (self.probe_users[i] + 1) as f64).max(0.0);
-                best = best.min(share);
-            }
-            best
-        });
-        for &r in s {
-            self.probe_mark[r as usize] = PROBE_NONE;
-        }
-        rate
     }
 }
 
@@ -1759,6 +1837,113 @@ mod tests {
             let want = full_solve_probe(&caps, &base, c);
             assert_eq!(got.to_bits(), want.to_bits(), "candidate {c:?}: {got} vs {want}");
         }
+    }
+
+    #[test]
+    fn probe_index_handles_key_dips() {
+        // r0 and r1 tie at 10/3; r0 pops first (lower id) and freezes the
+        // flow it shares with r1, whose share is then recomputed as
+        // (10 − 10/3)/2, which rounds 1 ulp *below* 10/3: the logged keys
+        // dip. r2 also loses a flow in round 0; with one extra user its
+        // key is then that same dipped share at a higher id, so it falls
+        // between the two logged keys. It does not fire at round 1 and
+        // fires at round 2, even though round 0's key already exceeds it.
+        // r3 is idle.
+        let caps = [10.0, 10.0, 10.0, 10.0];
+        let base: Vec<Vec<u32>> = vec![vec![0, 1], vec![0, 2], vec![0], vec![1], vec![1], vec![2]];
+        let mut arena = FlowArena::new(caps.len());
+        for f in &base {
+            arena.add(f);
+        }
+        let mut solver = MaxMinSolver::new();
+        let mut rates = Vec::new();
+        solver.solve_logged(&caps, &arena, &mut rates);
+        let keys = &solver.log.keys;
+        assert_eq!(keys.len(), 3);
+        assert!(keys[1] < keys[0], "tie-heavy arena must log a key dip: {keys:?}");
+        // (candidate, rounds up to its fire round): r0/r1 fire at once;
+        // r2 fires at round 2 (a search that trusted the running maximum
+        // alone would say round 1); idle r3 never fires.
+        let cases: [(&[u32], u64); 6] =
+            [(&[0], 1), (&[1], 1), (&[2], 3), (&[3], 3), (&[2, 3], 3), (&[1, 2], 1)];
+        for (cand, rounds) in cases {
+            let got = solver.probe(&caps, &arena, cand);
+            let want = full_solve_probe(&caps, &base, cand);
+            assert_eq!(got.to_bits(), want.to_bits(), "candidate {cand:?}: {got} vs {want}");
+            assert_eq!(solver.last_probe_replay_rounds(), rounds, "candidate {cand:?}");
+        }
+    }
+
+    /// What the saturation index must reproduce, by definition: walk the
+    /// log with one extra user on each candidate resource and stop at the
+    /// first round some candidate key beats or ties. Returns the rate and
+    /// the rounds visited.
+    fn walk_log(solver: &MaxMinSolver, caps: &[f64], arena: &FlowArena, s: &[u32]) -> (f64, u64) {
+        let log = &solver.log;
+        let mut slack: Vec<f64> = s.iter().map(|&r| caps[r as usize]).collect();
+        let mut users: Vec<u32> = s.iter().map(|&r| arena.users(r) as u32).collect();
+        let cmin = |slack: &[f64], users: &[u32]| {
+            let keys = s
+                .iter()
+                .enumerate()
+                .map(|(i, &r)| ShareKey::new((slack[i] / (users[i] + 1) as f64).max(0.0), r, 0).0);
+            keys.min().unwrap()
+        };
+        let mut t0 = 0;
+        for k in 0..log.keys.len() {
+            let key = cmin(&slack, &users);
+            if key <= log.keys[k] {
+                return (ShareKey(key).share(), k as u64 + 1);
+            }
+            let t1 = log.round_end[k] as usize;
+            for t in t0..t1 {
+                if let Some(i) = s.iter().position(|&r| r == log.touched_res[t]) {
+                    users[i] -= log.touched_delta[t];
+                    slack[i] -= log.touched_delta[t] as f64 * log.levels[k];
+                }
+            }
+            t0 = t1;
+        }
+        (ShareKey(cmin(&slack, &users)).share(), log.keys.len() as u64)
+    }
+
+    #[test]
+    fn probe_index_matches_log_walk_on_tie_heavy_arenas() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let mut dips = 0;
+        let mut solver = MaxMinSolver::new();
+        let mut rates = Vec::new();
+        for _ in 0..2000 {
+            // Few distinct capacities and short paths: many equal shares.
+            let nr = 3 + next(5) as usize;
+            let caps: Vec<f64> =
+                (0..nr).map(|_| [10.0, 10.0, 20.0, 30.0][next(4) as usize]).collect();
+            let mut arena = FlowArena::new(nr);
+            for _ in 0..next(16) {
+                let mut f: Vec<u32> = (0..1 + next(3)).map(|_| next(nr as u64) as u32).collect();
+                f.sort_unstable();
+                f.dedup();
+                arena.add(&f);
+            }
+            solver.solve_logged(&caps, &arena, &mut rates);
+            dips += solver.log.keys.windows(2).filter(|w| w[1] < w[0]).count();
+            for a in 0..nr as u32 {
+                for b in a..nr as u32 {
+                    let cand: &[u32] = if a == b { &[a] } else { &[a, b] };
+                    let got = solver.probe(&caps, &arena, cand);
+                    let (want, rounds) = walk_log(&solver, &caps, &arena, cand);
+                    assert_eq!(got.to_bits(), want.to_bits(), "candidate {cand:?}");
+                    assert_eq!(solver.last_probe_replay_rounds(), rounds, "candidate {cand:?}");
+                }
+            }
+        }
+        assert!(dips > 0, "no logged key dip: the arenas do not exercise the dip search");
     }
 
     #[test]

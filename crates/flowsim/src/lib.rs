@@ -44,9 +44,10 @@
 //! bottleneck. Two layers remove it:
 //!
 //! * **[`ProbeBatch`]** — [`MaxMinSolver::solve_batch`] runs *one* logged
-//!   solve and replays its frozen freeze-round prefix per candidate
-//!   (`O(rounds · path)` each, early exit at the candidate's bottleneck),
-//!   bit-identical to a full solve per candidate. [`FlowSim::probe_rate`]
+//!   solve, indexes its freeze-round log once (per resource: the round at
+//!   which it would bottleneck one extra flow, and that flow's share),
+//!   and rates each candidate from the index in `O(path)`, bit-identical
+//!   to a full solve per candidate. [`FlowSim::probe_rate`]
 //!   and [`FlowSim::probe_rates`] ride on it, which also makes probing
 //!   observably side-effect-free — no arena round-trip.
 //! * **[`ScenarioPool`]** — independent scenarios (placements, failures,
@@ -68,9 +69,12 @@
 //! 2. **Logged** — after [`MaxMinSolver::solve_logged`] (or
 //!    [`MaxMinSolver::solve_batch`]): the log records every freeze round
 //!    (bottleneck key, level, frozen slots, per-resource deltas) and is
-//!    stamped with the arena's generation. Probes replay it in
-//!    `O(rounds · path)`; the stamp must match the arena exactly
-//!    ([`MaxMinSolver::log_matches`]) — any mutation staled it.
+//!    stamped with the arena's generation. The first probe folds it into
+//!    a per-resource saturation index, and every probe reads that index
+//!    in `O(path)`; the stamp must match the arena exactly
+//!    ([`MaxMinSolver::log_matches`]) — any mutation staled it. A
+//!    re-recorded log (any of the states below) is re-indexed by its
+//!    first probe, in buffers kept from the last build.
 //! 3. **Warm** — after [`MaxMinSolver::solve_warm`]: the solver *replayed*
 //!    the previous log against the mutated arena, re-running live only
 //!    the rounds the mutations actually perturbed (the arena's dirty

@@ -23,12 +23,17 @@
 //!    to a cold shard solve), dispatched as jobs to a persistent
 //!    [`SolvePool`] of parked workers (spawned once,
 //!    on the first multi-shard solve, and reused for every solve after).
-//! 3. **Reconcile.** Because shard resource sets are disjoint and freeze
-//!    keys strictly increase within a log, the merge of the shard logs
-//!    by bottleneck key *is* the freeze-round log a cold solve of all
-//!    local flows together would record — and since pairwise merges of
-//!    disjoint sorted sequences associate, the driver merges each shard
-//!    log **as its solve completes** (completion order) instead of
+//! 3. **Reconcile.** Shard resource sets are disjoint, so a cold solve of
+//!    all local flows together pops, at every round, the smallest of the
+//!    shards' next pops — and each shard log's head *is* that shard's
+//!    next pop. The merge of the shard logs by head key is therefore the
+//!    freeze-round log that solve would record. This holds although keys
+//!    are not monotone within a log (they can dip by an ulp, see
+//!    `SolveLog::keys`): the merge never reorders a log, it only
+//!    interleaves heads. And since the head merge of two logs' suffixes
+//!    is the suffix of their merge, pairwise merges associate, so the
+//!    driver merges each shard log **as its solve completes**
+//!    (completion order) instead of
 //!    joining all shards first, overlapping late shards with the merge
 //!    of early ones and with the reconciliation walk's O(resources)
 //!    setup. The boundary flows are then exactly "flows added since
@@ -646,9 +651,12 @@ impl ShardedSolver {
     /// K-way merge of the shard logs by bottleneck key into
     /// `self.merged`, remapping shard-local freeze slots to global ones.
     ///
-    /// Shards own disjoint resource sets, so no two logs share a key, and
-    /// keys strictly increase within each log — the merge order is the
-    /// global freeze order of a solve of all local flows together.
+    /// Shards own disjoint resource sets, so no two logs share a key.
+    /// Keys are not monotone within a log (they can dip by an ulp at
+    /// equal levels), but the merge is still exact: it never reorders
+    /// within a log, and each log's head is that shard's next pop, so the
+    /// smallest head is the next pop of a solve of all local flows
+    /// together.
     fn merge_shard_logs(&mut self, arena: &FlowArena) {
         let n_pods = self.view.n_pods();
         let m = &mut self.merged;
@@ -703,11 +711,13 @@ unsafe impl Sync for ShardedSolver {}
 /// global) and shard log `b` (sub-arena freeze slots, remapped through
 /// `map`) into `dst`, which inherits `a`'s stamp.
 ///
-/// Keys are disjoint across shards and strictly increase within each
-/// log, so pairwise merging associates: folding shard logs into a
-/// running merge in **any** order — in particular, job completion
-/// order — produces exactly the k-way merge of
-/// [`ShardedSolver::merge_shard_logs`].
+/// Keys are disjoint across shards, and a head merge never reorders
+/// within a log, so the suffix of `a`'s merge that remains at any point
+/// is the merge of the remaining suffixes — its head is the smaller of
+/// theirs. Pairwise merging therefore associates, monotone keys or not:
+/// folding shard logs into a running merge in **any** order — in
+/// particular, job completion order — produces exactly the k-way merge
+/// of [`ShardedSolver::merge_shard_logs`].
 fn merge_pair(dst: &mut SolveLog, a: &SolveLog, b: &SolveLog, map: &[u32]) {
     dst.clear();
     dst.generation = a.generation;

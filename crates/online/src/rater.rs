@@ -3,8 +3,9 @@
 //! [`LiveRater`] is the online service's analogue of
 //! [`choreo_place::BackendRater`]: the greedy placer's per-transfer
 //! candidate batches go straight to [`FlowSim::probe_rates`] — one
-//! batched what-if replay of the committed allocation's freeze-round log
-//! per transfer, observably side-effect-free, never a snapshot. Probes
+//! batched what-if read of the committed allocation's saturation index
+//! per transfer (`O(path)` per candidate), observably side-effect-free,
+//! never a snapshot. Probes
 //! price in every flow currently running, so the placer must combine
 //! them with a **network-idle** load (CPU only): stacking transfer
 //! counters on top of live probes would double-count running traffic

@@ -15,7 +15,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use choreo_repro::flowsim::{FlowArena, FlowSim, MaxMinSolver, ResourcePartition, ShardedSolver};
+use choreo_repro::flowsim::{
+    FlowArena, FlowSim, MaxMinSolver, ProbeBatch, ResourcePartition, ShardedSolver,
+};
 use choreo_repro::topology::route::splitmix64;
 use choreo_repro::topology::{
     dumbbell, LinkSpec, MultiRootedTreeSpec, RouteTable, GBIT, MICROS, SECS,
@@ -141,6 +143,38 @@ fn steady_state_reallocation_allocates_nothing() {
     let warm_allocs = alloc_count() - before;
     assert!(warm_checksum > 0.0, "warm solves produced rates");
     assert_eq!(warm_allocs, 0, "steady-state warm-started reallocation must not allocate");
+
+    // ------------------------------------------- probes after re-solves
+    // Every warm solve re-records the log, so the first probe batch after
+    // it rebuilds the saturation index, in buffers kept from the last
+    // build. Alternating churn, warm solve and probe batch must not
+    // allocate once warm (the warm-up runs the measured pattern).
+    let mut batch = ProbeBatch::new();
+    for id in 0..16 {
+        batch.push(&path_of(10_000 + id));
+    }
+    let mut probe_out = Vec::new();
+    let mut probe_checksum = 0.0f64;
+    for measured in [false, true] {
+        let before = alloc_count();
+        for round in 0..3 {
+            for (i, arrival) in churn[n_flows as usize..].iter().enumerate() {
+                let k = (i + round) % slots.len();
+                arena.remove(slots[k]);
+                warm_solver.solve_warm(&caps, &mut arena, &mut warm_rates);
+                warm_solver.probe_batch(&caps, &arena, &batch, &mut probe_out);
+                slots[k] = arena.add(arrival);
+                warm_solver.solve_warm(&caps, &mut arena, &mut warm_rates);
+                warm_solver.probe_batch(&caps, &arena, &batch, &mut probe_out);
+                probe_checksum += probe_out[0];
+            }
+        }
+        if measured {
+            let rebuild_allocs = alloc_count() - before;
+            assert!(probe_checksum > 0.0, "probes produced rates");
+            assert_eq!(rebuild_allocs, 0, "probes that rebuild the index must not allocate");
+        }
+    }
 
     // -------------------------------------------------- sharded re-solves
     // The sharded path rebuilds the per-pod sub-arenas from scratch every

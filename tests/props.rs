@@ -17,7 +17,8 @@ use choreo_repro::profile::{
 };
 use choreo_repro::topology::route::splitmix64;
 use choreo_repro::topology::{
-    dumbbell, two_rack, LinkSpec, MultiRootedTreeSpec, RouteTable, Topology, GBIT, MICROS, SECS,
+    dumbbell, two_rack, LinkSpec, MultiRootedTreeSpec, NodeId, RouteTable, Topology, GBIT, MICROS,
+    SECS,
 };
 use choreo_repro::wire::ControlMsg;
 use proptest::prelude::*;
@@ -311,6 +312,30 @@ fn sharded_topology(kind: u8) -> Topology {
     }
 }
 
+/// Resource path of a flow from host `a` to host `b` (indices taken
+/// modulo the host count) in the engine's resource layout: the routed
+/// link hops, or the source's loopback (after the `2 × links` directed
+/// link resources) when both ends share a host; plus `hose` if given.
+fn host_pair_path(
+    routes: &RouteTable,
+    hosts: &[NodeId],
+    n_links2: usize,
+    a: u16,
+    b: u16,
+    h: u64,
+    hose: Option<&u32>,
+) -> Vec<u32> {
+    let src = hosts[a as usize % hosts.len()];
+    let dst = hosts[b as usize % hosts.len()];
+    let mut res: Vec<u32> = if src == dst {
+        vec![(n_links2 + a as usize % hosts.len()) as u32]
+    } else {
+        routes.path_for_flow(src, dst, splitmix64(h)).hops.iter().map(hop_resource).collect()
+    };
+    res.extend(hose);
+    res
+}
+
 proptest! {
     // CI cranks this suite with PROPTEST_CASES (read explicitly, so the
     // override works with real proptest's precedence too: env beats an
@@ -353,22 +378,8 @@ proptest! {
             .collect();
         let mut cold = MaxMinSolver::new();
         let mut cold_rates = Vec::new();
-        // Path of a hypothetical flow a→b (loopback when co-located),
-        // optionally capped by the latest hose.
-        let path_of = |a: u16, b: u16, h: u64, hoses: &[u32], with_hose: bool| -> Vec<u32> {
-            let src = hosts[a as usize % hosts.len()];
-            let dst = hosts[b as usize % hosts.len()];
-            let mut res: Vec<u32> = if src == dst {
-                vec![(n_links2 + a as usize % hosts.len()) as u32]
-            } else {
-                routes.path_for_flow(src, dst, splitmix64(h)).hops.iter().map(hop_resource).collect()
-            };
-            if with_hose {
-                if let Some(&hose) = hoses.last() {
-                    res.push(hose);
-                }
-            }
-            res
+        let path_of = |a: u16, b: u16, h: u64, hoses: &[u32], with_hose: bool| {
+            host_pair_path(&routes, &hosts, n_links2, a, b, h, hoses.last().filter(|_| with_hose))
         };
         for (opno, &(op, a, b, c)) in ops.iter().enumerate() {
             let h = (opno as u64) << 32 | (a as u64) << 16 | b as u64;
@@ -640,6 +651,127 @@ proptest! {
                 rates[slot.0 as usize].to_bits(),
                 check[slot.0 as usize].to_bits()
             );
+        }
+    }
+}
+
+proptest! {
+    // CI re-runs this with PROPTEST_CASES cranked up.
+    #![proptest_config(ProptestConfig::with_cases(proptest::resolve_cases(48)))]
+    #[test]
+    fn probe_index_bitmatches_add_and_resolve_under_churn(
+        topo_kind in 0u8..4,
+        uniform in any::<bool>(),
+        ops in prop::collection::vec((0u8..8, any::<u16>(), any::<u16>(), any::<u16>()), 1..24),
+        cands in prop::collection::vec((any::<u16>(), any::<u16>(), any::<bool>()), 1..8),
+    ) {
+        // Two solvers chase the same churn (adds, removes, recycled-slot
+        // replaces, new hoses, capacity retunes announced through
+        // touch_resource), each on its own arena replica: one chains warm
+        // solves, the other is a 2-worker sharded stack whose log is
+        // merged from shard logs. After every event both logs serve a
+        // probe batch (the first probe rebuilds the saturation index), and
+        // every rate must bit-match adding the candidate to the arena and
+        // solving from scratch. `uniform` gives every resource the same
+        // capacity, so shares tie and logged keys dip.
+        let topo = sharded_topology(topo_kind);
+        let routes = RouteTable::new(&topo);
+        let part = ResourcePartition::for_topology(&topo);
+        let hosts = topo.hosts().to_vec();
+        let n_links2 = topo.link_count() * 2;
+        let mut caps: Vec<f64> = if uniform {
+            vec![1e9; n_links2 + hosts.len()]
+        } else {
+            let links = topo.links().iter().flat_map(|l| [l.spec.rate_bps, l.spec.rate_bps]);
+            links.chain(std::iter::repeat_n(4.2e9, hosts.len())).collect()
+        };
+        let retuned = |b: u16| {
+            if uniform {
+                1e9 / (1 + b % 3) as f64
+            } else {
+                1e8 + 1e6 * (b % 512) as f64
+            }
+        };
+        // Replica 0: warm stack; 1: sharded stack; 2: reference.
+        let mut arenas: Vec<FlowArena> = (0..3).map(|_| FlowArena::new(caps.len())).collect();
+        let mut warm = MaxMinSolver::new();
+        let mut sharded = ShardedSolver::new(2);
+        let mut main = MaxMinSolver::new();
+        let mut rates = Vec::new();
+        let mut hoses: Vec<u32> = Vec::new();
+        let mut live: Vec<FlowSlot> = Vec::new();
+        let (mut batch, mut out) = (ProbeBatch::new(), Vec::new());
+        for (opno, &(op, a, b, c)) in ops.iter().enumerate() {
+            let h = (opno as u64) << 32 | (a as u64) << 16 | b as u64;
+            let hose = hoses.last().filter(|_| c % 2 == 0);
+            match op {
+                0 if !live.is_empty() => {
+                    let slot = live.swap_remove(a as usize % live.len());
+                    for arena in &mut arenas {
+                        arena.remove(slot);
+                    }
+                }
+                1 if !live.is_empty() => {
+                    let slot = live.swap_remove(a as usize % live.len());
+                    let path = host_pair_path(&routes, &hosts, n_links2, b, c, h, hose);
+                    for arena in &mut arenas {
+                        arena.remove(slot);
+                        prop_assert_eq!(arena.add(&path), slot, "recycled slot expected");
+                    }
+                    live.push(slot);
+                }
+                2 => {
+                    let id = arenas[0].n_resources();
+                    for arena in &mut arenas {
+                        arena.grow_resources(id + 1);
+                    }
+                    caps.push(if uniform { 1e9 } else { 2.5e8 + 1e6 * (a % 64) as f64 });
+                    hoses.push(id as u32);
+                }
+                3 => {
+                    let r = a as usize % caps.len();
+                    caps[r] = retuned(b);
+                    for arena in &mut arenas {
+                        arena.touch_resource(r as u32);
+                    }
+                }
+                _ => {
+                    let path = host_pair_path(&routes, &hosts, n_links2, a, b, h, hose);
+                    let mut slot = None;
+                    for arena in &mut arenas {
+                        let s = arena.add(&path);
+                        prop_assert!(slot.is_none_or(|prev| prev == s), "replicas diverged");
+                        slot = Some(s);
+                    }
+                    live.push(slot.unwrap());
+                }
+            }
+            warm.solve_warm(&caps, &mut arenas[0], &mut rates);
+            sharded.solve_sharded(&caps, &mut arenas[1], &part, &mut main, &mut rates);
+            batch.clear();
+            for (i, &(x, y, with_hose)) in cands.iter().enumerate() {
+                let hose = hoses.last().filter(|_| with_hose);
+                let h = h ^ (i as u64 + 1) << 48;
+                batch.push(&host_pair_path(&routes, &hosts, n_links2, x, y, h, hose));
+            }
+            let mut want = Vec::with_capacity(batch.len());
+            for i in 0..batch.len() {
+                let mut ref_arena = arenas[2].clone();
+                let slot = ref_arena.add(batch.resources(i));
+                let mut ref_rates = Vec::new();
+                MaxMinSolver::new().solve(&caps, &ref_arena, &mut ref_rates);
+                want.push(ref_rates[slot.0 as usize].to_bits());
+            }
+            for (name, solver, arena) in
+                [("warm", &mut warm, &arenas[0]), ("sharded", &mut main, &arenas[1])]
+            {
+                solver.probe_batch(&caps, arena, &batch, &mut out);
+                let got: Vec<u64> = out.iter().map(|r| r.to_bits()).collect();
+                prop_assert_eq!(&got, &want, "op {}: {} probes diverged", opno, name);
+                // A single probe reads the same, already built index.
+                let one = solver.probe(&caps, arena, batch.resources(0)).to_bits();
+                prop_assert_eq!(one, want[0], "op {}: {} single probe diverged", opno, name);
+            }
         }
     }
 }
