@@ -26,7 +26,12 @@
 //! recorder installed, the decision trace exported as JSONL — must (a)
 //! land on the same trajectory digest bit-for-bit (instrumentation is
 //! observational-only) and (b) cost at most 5% throughput against the
-//! recorder-less run (`obs_overhead_pct`, best-of-2 on both sides).
+//! recorder-less run. The two run in lockstep over the same stream, in
+//! 50 interleaved bare/instrumented chunk pairs; `obs_overhead_pct` is
+//! the median pair's throughput gap, signed (negative when the
+//! instrumented side was faster) and unclamped, and
+//! `obs_overhead_min_pct`/`obs_overhead_max_pct` give the spread across
+//! the pairs.
 //!
 //! # Host-count sweep (the scale ladder)
 //!
@@ -67,7 +72,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use choreo_bench::{pctile, JsonReport};
+use choreo_bench::{median, pctile, JsonReport};
 use choreo_metrics::span::RegistrySpans;
 use choreo_metrics::{parse, span, Registry};
 use choreo_online::{
@@ -631,13 +636,7 @@ fn run_switch_failover() -> SwitchFailover {
 /// Run `total` events (the first `warmup` untimed), timing the steady
 /// state and, for greedy runs, each arrival's placement latency.
 fn run(policy: PlacementPolicy, workers: usize, warmup: usize, total: usize) -> Run {
-    run_on(&mut build(policy, workers), warmup, total)
-}
-
-/// The timing loop behind [`run`], on a caller-built scheduler — so the
-/// instrumented twin measures the exact same code path as the
-/// recorder-less runs.
-fn run_on(svc: &mut OnlineScheduler, warmup: usize, total: usize) -> Run {
+    let svc = &mut build(policy, workers);
     let events: Vec<TenantEvent> = stream(7).take(total).collect();
     let mut latencies_us: Vec<f64> = Vec::new();
     for ev in &events[..warmup] {
@@ -670,31 +669,86 @@ fn run_on(svc: &mut OnlineScheduler, warmup: usize, total: usize) -> Run {
     }
 }
 
-/// The fully instrumented twin of the measured greedy run: labeled
-/// metric families registered against a live [`Registry`], the
-/// solver-phase span recorder installed, and the decision trace
-/// rendered to JSONL at the end. Instrumentation is observational-only,
-/// so the trajectory digest must bit-match the recorder-less run; the
-/// throughput gap between the two is the `obs_overhead_pct` the report
-/// gates on. Returns the run plus the exported trace-line count and the
-/// (conformance-validated) exposition size as evidence the pipeline
-/// really recorded.
-fn run_instrumented(warmup: usize, total: usize) -> (Run, usize, usize) {
+/// Chunk pairs behind `obs_overhead_pct`.
+const OBS_PAIRS: usize = 50;
+
+/// What [`measure_overhead`] found.
+struct Overhead {
+    /// Per chunk pair: the bare side's throughput over the instrumented
+    /// side's, minus 1, in percent (negative when instrumented was
+    /// faster).
+    pair_pcts: Vec<f64>,
+    /// Instrumented-side events per second over all its chunks.
+    instr_events_per_sec: f64,
+    /// Final trajectory digests, bare and instrumented.
+    trace_hashes: (u64, u64),
+    /// Lines of the instrumented side's exported decision trace.
+    trace_lines: usize,
+    /// Bytes of its (conformance-validated) metrics exposition.
+    exposition_bytes: usize,
+}
+
+/// Observability overhead, measured in lockstep. A recorder-less greedy
+/// scheduler and its fully instrumented twin — labeled metric families
+/// registered against a live [`Registry`], the solver-phase span
+/// recorder installed while the twin runs, the decision trace rendered
+/// to JSONL at the end — step through the same stream in alternating
+/// chunks, [`OBS_PAIRS`] chunk pairs over the measured events, with the
+/// side that goes first alternating too. The two sides of a pair replay
+/// identical events milliseconds apart, so host-speed swings hit both
+/// alike instead of masquerading as instrumentation cost.
+fn measure_overhead(warmup: usize, total: usize) -> Overhead {
+    let events: Vec<TenantEvent> = stream(7).take(total).collect();
     let registry = Arc::new(Registry::new());
-    span::install(RegistrySpans::new(Arc::clone(&registry)));
+    let spans = RegistrySpans::new(Arc::clone(&registry));
     let topo = Arc::new(bench_tree());
     let routes = Arc::new(RouteTable::new(&topo));
-    let mut svc = SchedulerBuilder::new(topo, routes)
+    let mut instr = SchedulerBuilder::new(topo, routes)
         .config(service_config(PlacementPolicy::Greedy, 0))
         .seed(42)
         .metrics_registry(&registry)
         .build();
-    let run = run_on(&mut svc, warmup, total);
-    span::uninstall();
-    let trace_lines = svc.stats().decisions().to_jsonl(usize::MAX).lines().count();
+    let mut bare = build(PlacementPolicy::Greedy, 0);
+    // Wall seconds to step `svc` through `evs`.
+    let steps = |svc: &mut OnlineScheduler, evs: &[TenantEvent], instrumented: bool| {
+        if instrumented {
+            span::install(spans.clone());
+        }
+        let t = Instant::now();
+        for ev in evs {
+            svc.step(ev);
+        }
+        let dt = t.elapsed().as_secs_f64();
+        if instrumented {
+            span::uninstall();
+        }
+        dt
+    };
+    steps(&mut bare, &events[..warmup], false);
+    steps(&mut instr, &events[..warmup], true);
+    let mut pair_pcts = Vec::with_capacity(OBS_PAIRS);
+    let mut instr_s = 0.0;
+    let chunk = (total - warmup).div_ceil(OBS_PAIRS);
+    for (i, evs) in events[warmup..].chunks(chunk).enumerate() {
+        let (bare_s, chunk_instr_s) = if i % 2 == 0 {
+            let b = steps(&mut bare, evs, false);
+            (b, steps(&mut instr, evs, true))
+        } else {
+            let n = steps(&mut instr, evs, true);
+            (steps(&mut bare, evs, false), n)
+        };
+        pair_pcts.push((chunk_instr_s / bare_s - 1.0) * 100.0);
+        instr_s += chunk_instr_s;
+    }
     let exposition = registry.render();
     parse::validate(&exposition).expect("instrumented exposition must be conformant");
-    (run, trace_lines, exposition.len())
+    Overhead {
+        pair_pcts,
+        instr_events_per_sec: (total - warmup) as f64 / instr_s,
+        trace_hashes: (bare.stats().trace_hash(), instr.stats().trace_hash()),
+        trace_lines: instr.stats().decisions().to_jsonl(usize::MAX).lines().count(),
+        exposition_bytes: exposition.len(),
+    }
 }
 
 fn main() {
@@ -717,27 +771,18 @@ fn main() {
         .max_by(|a, b| a.events_per_sec.partial_cmp(&b.events_per_sec).expect("finite"))
         .expect("non-empty");
 
-    // Observability overhead: the fully instrumented twin (live
-    // registry behind the labeled families, span recorder installed,
-    // trace exported) must land on the same trajectory bit-for-bit and
-    // stay within a few percent of the recorder-less throughput. The
-    // comparison interleaves bare/instrumented pairs and keeps the best
-    // of each side, so clock-frequency drift across the process
-    // lifetime can't masquerade as instrumentation cost.
-    let mut serial_base = f64::NEG_INFINITY;
-    let mut instr_best = f64::NEG_INFINITY;
-    let (mut trace_lines, mut exposition_bytes) = (0, 0);
-    for _ in 0..2 {
-        let bare = run(PlacementPolicy::Greedy, 0, warmup, total);
-        assert_eq!(greedy.trace_hash, bare.trace_hash, "bare overhead run diverged");
-        let (instr, lines, bytes) = run_instrumented(warmup, total);
-        assert_eq!(greedy.trace_hash, instr.trace_hash, "instrumentation changed the trajectory");
-        assert!(lines > 0, "the instrumented run must export a non-empty decision trace");
-        serial_base = serial_base.max(bare.events_per_sec);
-        instr_best = instr_best.max(instr.events_per_sec);
-        (trace_lines, exposition_bytes) = (lines, bytes);
-    }
-    let obs_overhead_pct = ((serial_base / instr_best) - 1.0).max(0.0) * 100.0;
+    // Observability overhead: the fully instrumented twin must land on
+    // the measured run's trajectory bit-for-bit and stay within a few
+    // percent of the recorder-less throughput. The median chunk pair's
+    // signed gap is the overhead, with the pairs' spread beside it.
+    let obs = measure_overhead(warmup, total);
+    assert_eq!(greedy.trace_hash, obs.trace_hashes.0, "bare overhead run diverged");
+    assert_eq!(greedy.trace_hash, obs.trace_hashes.1, "instrumentation changed the trajectory");
+    assert!(obs.trace_lines > 0, "the instrumented run must export a non-empty decision trace");
+    let obs_overhead_pct = median(&obs.pair_pcts);
+    let obs_overhead_min_pct = obs.pair_pcts.iter().copied().fold(f64::INFINITY, f64::min);
+    let obs_overhead_max_pct = obs.pair_pcts.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let (trace_lines, exposition_bytes) = (obs.trace_lines, obs.exposition_bytes);
 
     let random = run(PlacementPolicy::Random(9), 0, warmup, total);
     let greedy_rate = greedy.mean_rate_bps.expect("departures happened");
@@ -760,8 +805,10 @@ fn main() {
         greedy.trace_hash
     );
     println!(
-        "observability\t{instr_best:.0} events/s instrumented\toverhead {obs_overhead_pct:.1}%\t\
-         ({trace_lines} trace lines, {exposition_bytes} exposition bytes, digest bit-identical)"
+        "observability\t{:.0} events/s instrumented\toverhead {obs_overhead_pct:.1}% \
+         [{obs_overhead_min_pct:.1}..{obs_overhead_max_pct:.1}] over {OBS_PAIRS} pairs\t\
+         ({trace_lines} trace lines, {exposition_bytes} exposition bytes, digest bit-identical)",
+        obs.instr_events_per_sec
     );
 
     // The scale ladder. CI caps it (CHOREO_SWEEP_MAX_HOSTS=512); the
@@ -879,6 +926,8 @@ fn main() {
         .int("migrations", greedy.migrations)
         .bool("deterministic", true)
         .num("obs_overhead_pct", obs_overhead_pct, 2)
+        .num("obs_overhead_min_pct", obs_overhead_min_pct, 2)
+        .num("obs_overhead_max_pct", obs_overhead_max_pct, 2)
         .int("obs_trace_lines", trace_lines as u64)
         .int("obs_exposition_bytes", exposition_bytes as u64)
         .int("sweep_events", sweep_total as u64)

@@ -95,7 +95,9 @@ pub use metrics::{
 };
 pub use rater::LiveRater;
 pub use scheduler::OnlineScheduler;
-pub use stats::{Cause, Decision, DecisionKind, RejectReason, ServiceStats, TraceRing};
+pub use stats::{
+    Cause, Decision, DecisionKind, JsonlMirror, RejectReason, ServiceStats, TraceRing,
+};
 
 #[cfg(test)]
 mod tests {

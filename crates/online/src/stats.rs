@@ -1,6 +1,9 @@
 //! Service counters, the deterministic trajectory digest, and the
 //! per-decision trace ring.
 
+use std::collections::VecDeque;
+use std::fmt::{self, Write};
+
 use choreo_profile::TenantId;
 use choreo_topology::Nanos;
 
@@ -111,38 +114,38 @@ pub enum Cause {
 
 impl Cause {
     fn write_json(self, out: &mut String) {
-        match self {
-            Cause::Drift { error, threshold } => {
-                out.push_str(&format!(
-                    "{{\"type\":\"drift\",\"error\":{},\"threshold\":{}}}",
-                    json_f64(error),
-                    json_f64(threshold)
-                ));
-            }
-            Cause::Hysteresis { gain, min_improvement } => {
-                out.push_str(&format!(
-                    "{{\"type\":\"hysteresis\",\"gain\":{},\"min_improvement\":{}}}",
-                    json_f64(gain),
-                    json_f64(min_improvement)
-                ));
-            }
+        // Writing into a `String` cannot fail.
+        let _ = match self {
+            Cause::Drift { error, threshold } => write!(
+                out,
+                "{{\"type\":\"drift\",\"error\":{},\"threshold\":{}}}",
+                JsonF64(error),
+                JsonF64(threshold)
+            ),
+            Cause::Hysteresis { gain, min_improvement } => write!(
+                out,
+                "{{\"type\":\"hysteresis\",\"gain\":{},\"min_improvement\":{}}}",
+                JsonF64(gain),
+                JsonF64(min_improvement)
+            ),
             Cause::Reject(reason) => {
-                out.push_str(&format!(
-                    "{{\"type\":\"reject\",\"reason\":\"{}\"}}",
-                    reason.as_str()
-                ));
+                write!(out, "{{\"type\":\"reject\",\"reason\":\"{}\"}}", reason.as_str())
             }
-        }
+        };
     }
 }
 
-/// A finite float as a JSON number; non-finite values become `null`
-/// (JSON has no Inf/NaN).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
+/// A float as a JSON number, formatted in place: finite values print as
+/// `{}` does, non-finite ones as `null` (JSON has no Inf/NaN).
+struct JsonF64(f64);
+
+impl fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
+        }
     }
 }
 
@@ -169,23 +172,28 @@ impl Decision {
     /// decisions), `kind`, `value` (`null` when non-finite) and `cause`
     /// (omitted when absent).
     pub fn to_json(&self) -> String {
-        let mut s = format!("{{\"at\":{},\"tenant\":", self.at);
-        if self.tenant == u64::MAX {
-            s.push_str("null");
-        } else {
-            s.push_str(&self.tenant.to_string());
-        }
-        s.push_str(&format!(
-            ",\"kind\":\"{}\",\"value\":{}",
-            self.kind.as_str(),
-            json_f64(self.value)
-        ));
-        if let Some(c) = self.cause {
-            s.push_str(",\"cause\":");
-            c.write_json(&mut s);
-        }
-        s.push('}');
+        let mut s = String::new();
+        self.write_json(&mut s);
         s
+    }
+
+    /// Append [`Decision::to_json`]'s line (without a newline) to `out`,
+    /// with no temporary allocation.
+    pub fn write_json(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{{\"at\":{},\"tenant\":", self.at);
+        if self.tenant == u64::MAX {
+            out.push_str("null");
+        } else {
+            let _ = write!(out, "{}", self.tenant);
+        }
+        let _ =
+            write!(out, ",\"kind\":\"{}\",\"value\":{}", self.kind.as_str(), JsonF64(self.value));
+        if let Some(c) = self.cause {
+            out.push_str(",\"cause\":");
+            c.write_json(out);
+        }
+        out.push('}');
     }
 }
 
@@ -228,14 +236,23 @@ impl TraceRing {
 
     /// The retained decisions, oldest first.
     pub fn recent(&self) -> Vec<Decision> {
-        if self.buf.len() < self.capacity {
-            return self.buf.clone();
-        }
+        self.tail(usize::MAX).copied().collect()
+    }
+
+    /// The newest `k` retained decisions (all of them when `k` exceeds
+    /// the retained count), oldest first, read in place.
+    pub(crate) fn tail(&self, k: usize) -> impl Iterator<Item = &Decision> {
+        // `buf[split..]` holds the oldest entries, `buf[..split]` the
+        // newest; before the first wrap `split` is `buf.len()`.
         let split = (self.total % self.capacity as u64) as usize;
-        let mut out = Vec::with_capacity(self.capacity);
-        out.extend_from_slice(&self.buf[split..]);
-        out.extend_from_slice(&self.buf[..split]);
-        out
+        let (newer, older) = self.buf.split_at(split);
+        let skip = self.buf.len().saturating_sub(k);
+        let (older, newer) = if skip <= older.len() {
+            (&older[skip..], newer)
+        } else {
+            (&older[..0], &newer[skip - older.len()..])
+        };
+        older.iter().chain(newer)
     }
 
     /// The most recent `n` retained decisions as JSON Lines, oldest
@@ -243,14 +260,57 @@ impl TraceRing {
     /// newline included; empty string for an empty ring). The `/trace`
     /// endpoint and the `GetTrace` wire op render exactly this.
     pub fn to_jsonl(&self, n: usize) -> String {
-        let recent = self.recent();
-        let skip = recent.len().saturating_sub(n);
         let mut out = String::new();
-        for d in &recent[skip..] {
-            out.push_str(&d.to_json());
+        for d in self.tail(n) {
+            d.write_json(&mut out);
             out.push('\n');
         }
         out
+    }
+}
+
+/// A [`TraceRing::to_jsonl`]`(usize::MAX)` rendering kept current
+/// incrementally: each [`JsonlMirror::sync`] appends the lines of the
+/// decisions pushed since the last one and trims the lines of the ones
+/// the ring evicted, so a sync costs O(new decisions), not O(capacity).
+/// A mirror follows one ring and one output buffer, and nothing else
+/// may write to that buffer.
+#[derive(Debug, Clone, Default)]
+pub struct JsonlMirror {
+    /// The ring's [`TraceRing::total`] already rendered.
+    seen: u64,
+    /// Byte length of each rendered line (newline included), oldest
+    /// first — one per retained decision.
+    line_lens: VecDeque<usize>,
+}
+
+impl JsonlMirror {
+    /// Bring `out` up to `ring.to_jsonl(usize::MAX)`. A fresh mirror
+    /// renders every retained decision, replacing whatever `out` held.
+    pub fn sync(&mut self, ring: &TraceRing, out: &mut String) {
+        let new = ring.total - self.seen;
+        if new == 0 {
+            return;
+        }
+        let retained = ring.buf.len();
+        let append = if new >= retained as u64 {
+            out.clear();
+            self.line_lens.clear();
+            retained
+        } else {
+            let new = new as usize;
+            let evicted = self.line_lens.len() + new - retained;
+            let bytes: usize = self.line_lens.drain(..evicted).sum();
+            out.drain(..bytes);
+            new
+        };
+        for d in ring.tail(append) {
+            let start = out.len();
+            d.write_json(out);
+            out.push('\n');
+            self.line_lens.push_back(out.len() - start);
+        }
+        self.seen = ring.total;
     }
 }
 
@@ -444,6 +504,11 @@ mod tests {
             vec![2, 3, 4],
             "oldest first, last capacity kept"
         );
+        let tail = |k| ring.tail(k).map(|d| d.at).collect::<Vec<_>>();
+        assert_eq!(tail(2), vec![3, 4], "the newest k, oldest first");
+        assert_eq!(tail(1), vec![4]);
+        assert_eq!(tail(0), Vec::<u64>::new());
+        assert_eq!(tail(usize::MAX), vec![2, 3, 4], "k past the retained count");
         // Before wrap-around the ring returns what it has.
         let mut t = ServiceStats::with_trace_capacity(8);
         t.decide(1, 0, DecisionKind::Queue, 0.0);
@@ -502,6 +567,61 @@ mod tests {
             "{\"at\":1,\"tenant\":2,\"kind\":\"migrate\",\"value\":3,\
              \"cause\":{\"type\":\"hysteresis\",\"gain\":1.5,\"min_improvement\":0.1}}"
         );
+    }
+
+    #[test]
+    fn jsonl_mirror_equals_a_full_render_after_every_sync() {
+        let causes = [
+            None,
+            Some(Cause::Reject(RejectReason::LinksDown)),
+            Some(Cause::Drift { error: f64::NAN, threshold: 0.06 }),
+            Some(Cause::Hysteresis { gain: f64::INFINITY, min_improvement: 0.1 }),
+            None,
+        ];
+        let kinds = [DecisionKind::Admit, DecisionKind::Reject, DecisionKind::MigrationPass];
+        for capacity in [1usize, 3, 8] {
+            let mut s = ServiceStats::with_trace_capacity(capacity);
+            let (mut mirror, mut out) = (JsonlMirror::default(), String::new());
+            let mut all: Vec<Decision> = Vec::new();
+            // Every burst size from 0 to 2× capacity, up then down, so
+            // small bursts follow ones that wrapped the whole ring.
+            let bursts = (0..=2 * capacity).chain((0..=2 * capacity).rev());
+            for burst in bursts {
+                for _ in 0..burst {
+                    let i = all.len() as u64;
+                    let tenant = if i % 4 == 3 { u64::MAX } else { i };
+                    let value = match i % 3 {
+                        0 => f64::NAN,
+                        1 => f64::NEG_INFINITY,
+                        _ => i as f64 / 3.0,
+                    };
+                    let kind = kinds[i as usize % kinds.len()];
+                    let cause = causes[i as usize % causes.len()];
+                    match cause {
+                        Some(c) => s.decide_caused(i, tenant, kind, value, c),
+                        None => s.decide(i, tenant, kind, value),
+                    }
+                    all.push(Decision { at: i, tenant, kind, value, cause });
+                }
+                mirror.sync(s.decisions(), &mut out);
+                let retained = &all[all.len().saturating_sub(capacity)..];
+                let reference: String = retained.iter().map(|d| d.to_json() + "\n").collect();
+                let ctx = format!("capacity {capacity}, {} decisions", all.len());
+                assert_eq!(out, reference, "{ctx}");
+                assert_eq!(out, s.decisions().to_jsonl(usize::MAX), "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fresh_jsonl_mirror_replaces_the_buffer() {
+        let mut s = ServiceStats::with_trace_capacity(4);
+        for i in 0..6u64 {
+            s.decide(i, i, DecisionKind::Depart, 1.0);
+        }
+        let mut out = "stale\n".to_string();
+        JsonlMirror::default().sync(s.decisions(), &mut out);
+        assert_eq!(out, s.decisions().to_jsonl(usize::MAX));
     }
 
     #[test]

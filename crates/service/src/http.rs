@@ -33,7 +33,8 @@ impl MetricsServer {
 
     /// Like [`MetricsServer::start`], but also serve `GET /trace?n=K`
     /// from `trace` — a decision-trace JSONL snapshot the service loop
-    /// keeps fresh ([`crate::PlacementService::trace_export`]).
+    /// keeps current incrementally, at O(new decisions) per request
+    /// ([`crate::PlacementService::trace_export`]).
     pub fn start_with_trace<A: ToSocketAddrs>(
         addr: A,
         registry: Arc<Registry>,
@@ -101,8 +102,8 @@ impl MetricsServer {
         } else if is_get && route == "/trace" {
             match trace {
                 Some(t) => {
-                    let full = t.lock().expect("trace export poisoned").clone();
-                    ("200 OK", last_lines(&full, trace_limit(query)))
+                    let snapshot = t.lock().expect("trace export poisoned");
+                    ("200 OK", last_lines(&snapshot, trace_limit(query)).to_string())
                 }
                 None => ("404 Not Found", "no trace source wired in\n".to_string()),
             }
@@ -143,18 +144,16 @@ fn trace_limit(query: &str) -> usize {
         .unwrap_or(usize::MAX)
 }
 
-/// The last `n` lines of `text`, newline-terminated (empty for `n = 0`
-/// or empty input).
-fn last_lines(text: &str, n: usize) -> String {
-    let total = text.lines().count();
-    if n >= total {
-        return text.to_string();
-    }
-    let mut out: String = text.lines().skip(total - n).collect::<Vec<_>>().join("\n");
-    if !out.is_empty() {
-        out.push('\n');
-    }
-    out
+/// The last `n` lines of newline-terminated `text`, with their
+/// newlines: all of it when `n` reaches the line count, empty for
+/// `n = 0`. Scans newlines back from the end, so the cost follows the
+/// tail, not the whole snapshot.
+fn last_lines(text: &str, n: usize) -> &str {
+    let Some(n) = n.checked_sub(1) else {
+        return "";
+    };
+    let body = text.strip_suffix('\n').unwrap_or(text);
+    body.rmatch_indices('\n').nth(n).map_or(text, |(i, _)| &text[i + 1..])
 }
 
 #[cfg(test)]
@@ -202,6 +201,28 @@ mod tests {
         assert!(body.contains("\"at\":1") && body.contains("\"at\":2"), "{body}");
         let tail = get(server.local_addr(), "/trace?n=1");
         assert!(!tail.contains("\"at\":1") && tail.contains("\"at\":2"), "{tail}");
+    }
+
+    #[test]
+    fn last_lines_of_nothing_is_empty() {
+        assert_eq!(last_lines("a\nb\n", 0), "");
+        assert_eq!(last_lines("", 0), "");
+        assert_eq!(last_lines("", 3), "");
+    }
+
+    #[test]
+    fn last_lines_past_the_line_count_is_everything() {
+        for n in [2, 3, usize::MAX] {
+            assert_eq!(last_lines("a\nb\n", n), "a\nb\n", "n = {n}");
+        }
+        assert_eq!(last_lines("only\n", 1), "only\n");
+    }
+
+    #[test]
+    fn last_lines_keeps_the_trailing_newline() {
+        let text = "{\"at\":1}\n{\"at\":2}\n{\"at\":3}\n";
+        assert_eq!(last_lines(text, 1), "{\"at\":3}\n");
+        assert_eq!(last_lines(text, 2), "{\"at\":2}\n{\"at\":3}\n");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::sync::{Arc, Mutex};
 
 use choreo_metrics::{Counter, Registry};
-use choreo_online::{OnlineConfig, OnlineScheduler, SchedulerBuilder};
+use choreo_online::{JsonlMirror, OnlineConfig, OnlineScheduler, SchedulerBuilder};
 use choreo_profile::{NetworkEvent, TenantEvent, TenantEventKind};
 use choreo_topology::{Nanos, RouteTable, Topology};
 use choreo_wire::{ServiceRequest, ServiceResponse, ServiceStatsReply};
@@ -71,9 +71,11 @@ pub struct PlacementService<E: ServiceEnv> {
     env: E,
     stopped: bool,
     /// Shared JSONL snapshot of the decision trace for the HTTP
-    /// `/trace` endpoint; refreshed after every served request once
-    /// [`PlacementService::trace_export`] has been called.
-    trace_export: Option<Arc<Mutex<String>>>,
+    /// `/trace` endpoint, once [`PlacementService::trace_export`] has
+    /// been called, with the mirror that keeps it current: after every
+    /// served request it appends the new decisions' lines and trims the
+    /// evicted ones, O(new decisions) per request.
+    trace_export: Option<(Arc<Mutex<String>>, JsonlMirror)>,
 }
 
 impl<E: ServiceEnv> PlacementService<E> {
@@ -164,10 +166,7 @@ impl<E: ServiceEnv> PlacementService<E> {
                 let shutdown = matches!(req, ServiceRequest::Shutdown);
                 let resp = self.handle(at, req);
                 self.env.send(conn, &resp);
-                if let Some(export) = &self.trace_export {
-                    *export.lock().expect("trace export poisoned") =
-                        self.scheduler.stats().decisions().to_jsonl(usize::MAX);
-                }
+                self.sync_trace_export();
                 if shutdown {
                     self.stopped = true;
                     return false;
@@ -307,16 +306,29 @@ impl<E: ServiceEnv> PlacementService<E> {
     }
 
     /// A shared decision-trace snapshot for the HTTP `/trace` endpoint
-    /// ([`crate::MetricsServer::start_with_trace`]): after this call the
-    /// loop re-renders the ring's JSONL into the handle after every
-    /// served request. Observational only — exporting never touches the
-    /// clock or the digest.
+    /// ([`crate::MetricsServer::start_with_trace`]), holding
+    /// [`PlacementService::trace_jsonl`]`(usize::MAX)`. After this call
+    /// the loop keeps it current incrementally: each served request
+    /// appends its new decisions' lines and trims the evicted ones, at
+    /// O(new decisions) per request. A second call returns the same
+    /// handle with its contents rebuilt. Observational only — exporting
+    /// never touches the clock or the digest.
     pub fn trace_export(&mut self) -> Arc<Mutex<String>> {
-        let export =
-            self.trace_export.get_or_insert_with(|| Arc::new(Mutex::new(String::new()))).clone();
-        *export.lock().expect("trace export poisoned") =
-            self.scheduler.stats().decisions().to_jsonl(usize::MAX);
-        export
+        let (handle, mirror) = self
+            .trace_export
+            .get_or_insert_with(|| (Arc::new(Mutex::new(String::new())), JsonlMirror::default()));
+        *mirror = JsonlMirror::default();
+        let handle = handle.clone();
+        self.sync_trace_export();
+        handle
+    }
+
+    /// Bring the attached trace export (if any) up to the ring.
+    fn sync_trace_export(&mut self) {
+        if let Some((handle, mirror)) = &mut self.trace_export {
+            let mut out = handle.lock().expect("trace export poisoned");
+            mirror.sync(self.scheduler.stats().decisions(), &mut out);
+        }
     }
 
     fn stats_reply(&self) -> ServiceStatsReply {
@@ -588,6 +600,54 @@ mod tests {
         let env = svc.into_env();
         assert_eq!(env.responses(1), &[ServiceResponse::Done]);
         assert!(env.remaining() > 0, "loop stopped before draining the script");
+    }
+
+    #[test]
+    fn trace_export_equals_a_full_render_after_every_request() {
+        use choreo_profile::NetworkEventKind;
+        let mut script: Vec<(Nanos, ConnId, ServiceRequest)> = Vec::new();
+        for i in 0..200u64 {
+            let t = 1 + i * 1_000_000;
+            let req = |r| (t, 1, r);
+            script.push(req(ServiceRequest::Admit { tenant: i, app: app(2 + (i % 2) as usize) }));
+            script.push(req(ServiceRequest::SetIntensity { tenant: i, intensity: 2 }));
+            if i >= 3 && i % 2 == 0 {
+                script.push(req(ServiceRequest::Depart { tenant: i - 3 }));
+            }
+            if i % 10 == 0 {
+                script.push(req(ServiceRequest::ForceMigration { at: t }));
+            }
+            if i % 15 == 0 {
+                let kind = if i % 30 == 0 {
+                    NetworkEventKind::LinkFail
+                } else {
+                    NetworkEventKind::LinkRecover
+                };
+                script.push(req(ServiceRequest::InjectNetworkEvent { at: t, link: 0, kind }));
+            }
+            if i % 7 == 0 {
+                script.push(req(ServiceRequest::GetTrace { n: 5 }));
+            }
+            if i % 11 == 0 {
+                script.push(req(ServiceRequest::Stats));
+            }
+            if i % 13 == 0 {
+                script.push(req(ServiceRequest::Admit { tenant: u64::MAX, app: app(2) }));
+            }
+        }
+        let mut svc = sim_service(script);
+        let export = svc.trace_export();
+        assert_eq!(*export.lock().unwrap(), "", "nothing decided yet");
+        while svc.poll() {
+            assert_eq!(*export.lock().unwrap(), svc.trace_jsonl(usize::MAX));
+        }
+        let ring = svc.scheduler().stats().decisions();
+        assert!(ring.total() > ring.capacity() as u64, "the ring wrapped: {}", ring.total());
+        let again = svc.trace_export();
+        assert!(Arc::ptr_eq(&export, &again), "a second call reuses the handle");
+        let full = svc.trace_jsonl(usize::MAX);
+        assert_eq!(*again.lock().unwrap(), full, "rebuilt, not duplicated");
+        assert_eq!(full.lines().count(), 256);
     }
 
     #[test]
