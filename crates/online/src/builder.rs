@@ -80,13 +80,6 @@ impl SchedulerBuilder {
         self
     }
 
-    /// Use an explicit pre-built instrument set (shared with another
-    /// component, or registered under different names).
-    pub fn metrics(mut self, metrics: ServiceMetrics) -> SchedulerBuilder {
-        self.metrics = metrics;
-        self
-    }
-
     /// Route reallocation through an explicit [`SolverMode`] — including
     /// handing over a warmed-up [`choreo_flowsim::ShardedSolver`] pool
     /// via [`SolverMode::Sharded`]. Defaults to

@@ -34,13 +34,19 @@
 //!   `core`'s [`choreo::migrate::improves_enough`]).
 //!
 //! Schedulers are constructed through the [`SchedulerBuilder`]
-//! (topology + routes, then chained config/seed/metrics/solver-mode
-//! setters). Every decision is observable twice over: the
-//! [`metrics`] instruments (a [`ServiceMetrics`] set, optionally
-//! registered in a [`choreo_metrics::Registry`] for prometheus text
-//! exposition) and the bounded per-decision [`TraceRing`] in
-//! [`ServiceStats`]. Both are observational only — nothing reads them
-//! back into placement.
+//! (topology + routes, then chained config/seed/metrics-registry/
+//! solver-mode setters). Every decision goes through one function,
+//! `OnlineScheduler::decide`: it bumps the decision's [`ServiceStats`]
+//! counter, its [`metrics`] instrument (a [`ServiceMetrics`] set,
+//! optionally registered in a [`choreo_metrics::Registry`] for
+//! prometheus text exposition) and, for admission verdicts, its
+//! `choreo_admissions_total{reason}` series, then pushes the
+//! [`Decision`] into the bounded [`TraceRing`]. So the counters, the
+//! metrics and the trace cannot disagree, and [`OnlineScheduler::step`]
+//! returns the decision its event made instead of leaving callers to
+//! diff counters. The trajectory digest stays with each call site,
+//! whose tag bytes and payloads are irregular. All of these channels
+//! are observational only — nothing reads them back into placement.
 //!
 //! # Network drift and failures
 //!
@@ -305,7 +311,7 @@ mod tests {
         s.sim_mut().run_until(SECS);
         s.force_migration_pass();
         assert_eq!(s.stats().migrations, 0, "cooldown holds the cadence scan back");
-        s.migration_pass_forced(&[0]);
+        s.migration_pass(&[0]);
         assert_eq!(s.stats().migrations, 1, "forced tenant moved");
         assert_eq!(s.stats().failure_migrations, 1, "counted as a forced migration");
         assert!(

@@ -108,7 +108,8 @@ pub struct ServiceMetrics {
     /// Queued tenants admitted by a departure retry
     /// (`choreo_queue_admitted_total`).
     pub queue_admitted: Counter,
-    /// Arrivals rejected with the queue full (`choreo_rejected_total`).
+    /// Arrivals rejected, links up or down (`choreo_rejected_total`);
+    /// [`ServiceMetrics::failure_rejections`] counts the links-down ones.
     pub rejected: Counter,
     /// Duplicate arrivals ignored (`choreo_duplicate_arrivals_total`).
     pub duplicate_arrivals: Counter,
@@ -208,8 +209,10 @@ impl ServiceMetrics {
                 "choreo_queue_admitted_total",
                 "Queued tenants admitted by a departure retry",
             ),
-            rejected: registry
-                .counter("choreo_rejected_total", "Arrivals rejected with the queue full"),
+            rejected: registry.counter(
+                "choreo_rejected_total",
+                "Arrivals rejected, links up or down (subset: choreo_failure_rejected_total)",
+            ),
             duplicate_arrivals: registry.counter(
                 "choreo_duplicate_arrivals_total",
                 "Arrivals ignored because the tenant was already live",

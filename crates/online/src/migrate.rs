@@ -51,26 +51,17 @@ struct PlannedMove {
 
 impl OnlineScheduler {
     /// One cluster-wide planning pass; called from the event loop on the
-    /// cadence clock (or [`OnlineScheduler::force_migration_pass`]).
-    pub(crate) fn migration_pass(&mut self) {
-        self.migration_pass_inner(&[]);
-    }
-
-    /// A pass with `forced` tenants scanned ahead of the normal rules:
-    /// drift detections and link failures route tenants here, bypassing
-    /// the cooldown and the degraded-fraction arm (the network already
-    /// gave the evidence). The move itself still has to clear the
-    /// hysteresis bar — forcing a tenant in never forces it to move.
-    pub(crate) fn migration_pass_forced(&mut self, forced: &[TenantId]) {
-        self.migration_pass_inner(forced);
-    }
-
-    fn migration_pass_inner(&mut self, forced: &[TenantId]) {
-        self.stats.migration_passes += 1;
-        self.metrics.migration_passes.inc();
+    /// cadence clock (or [`OnlineScheduler::force_migration_pass`]) with
+    /// no `forced` tenants. Drift detections and link failures route
+    /// tenants in through `forced` (sorted, unique ids), which are
+    /// scanned ahead of the normal rules: they bypass the cooldown and
+    /// the degraded-fraction arm (the network already gave the
+    /// evidence). The move itself still has to clear the hysteresis bar
+    /// — forcing a tenant in never forces it to move.
+    pub(crate) fn migration_pass(&mut self, forced: &[TenantId]) {
         self.stats.note(0x4d); // 'M'
-        let now = self.sim.now();
-        self.stats.decide(now, TenantId::MAX, DecisionKind::MigrationPass, forced.len() as f64);
+        let now =
+            self.decide(TenantId::MAX, DecisionKind::MigrationPass, forced.len() as f64, None).at;
         let cooldown = self.cfg.migration.cooldown;
         let degraded_fraction = self.cfg.migration.degraded_fraction;
         let min_improvement = self.cfg.migration.min_improvement;
@@ -209,24 +200,20 @@ impl OnlineScheduler {
         self.load.apply(&t.app, &placement);
         let flows = self.start_transfer_flows(id, &placement, &t.transfers, t.intensity);
         let baseline = self.service_score(&flows);
-        self.stats.migrations += 1;
-        self.metrics.migrations.inc();
         self.stats.note(0x56); // 'V' — a move
         self.stats.note(id);
         for &h in &placement.assignment {
             self.stats.note(h as u64);
         }
         self.stats.note_f64(baseline);
-        let now = self.sim.now();
-        let cause = Cause::Hysteresis { gain, min_improvement: self.cfg.migration.min_improvement };
-        if forced {
-            self.stats.failure_migrations += 1;
-            self.metrics.failure_migrations.inc();
+        let kind = if forced {
             self.stats.note(0x46); // 'F' — the move was forced
-            self.stats.decide_caused(now, id, DecisionKind::ForcedMigration, baseline, cause);
+            DecisionKind::ForcedMigration
         } else {
-            self.stats.decide_caused(now, id, DecisionKind::Migrate, baseline, cause);
-        }
+            DecisionKind::Migrate
+        };
+        let cause = Cause::Hysteresis { gain, min_improvement: self.cfg.migration.min_improvement };
+        let now = self.decide(id, kind, baseline, Some(cause)).at;
         self.tenants[id as usize] = Some(crate::scheduler::Tenant {
             app: t.app,
             placement,

@@ -18,7 +18,7 @@ use crate::builder::SchedulerBuilder;
 use crate::config::{OnlineConfig, PlacementPolicy};
 use crate::metrics::{PodLabel, ReasonLabel, ServiceMetrics, ShapeLabel, TenantBucket};
 use crate::rater::LiveRater;
-use crate::stats::{Cause, DecisionKind, RejectReason, ServiceStats};
+use crate::stats::{Cause, Decision, DecisionKind, RejectReason, ServiceStats};
 
 /// One admitted tenant's live state.
 #[derive(Debug)]
@@ -296,7 +296,7 @@ impl OnlineScheduler {
                 self.measurement_pass();
                 self.next_measure_at = next + self.cfg.drift.cadence.expect("cadence set");
             } else {
-                self.migration_pass();
+                self.migration_pass(&[]);
                 self.next_migration_at = next + self.cfg.migration.cadence.expect("cadence set");
             }
         }
@@ -305,28 +305,33 @@ impl OnlineScheduler {
 
     /// Consume one tenant event: advance simulated time (running any
     /// migration passes that come due on the way), then dispatch.
-    pub fn step(&mut self, ev: &TenantEvent) {
+    /// Returns the decision the event itself made (not those of passes
+    /// or queue retries it triggered); `None` for the digested no-ops: an
+    /// unknown departure, an unchanged or queued intensity.
+    pub fn step(&mut self, ev: &TenantEvent) -> Option<Decision> {
         self.advance_to(ev.at);
         self.stats.events += 1;
         self.metrics.events.inc();
         self.shape_events.inc();
         self.stats.note(ev.tenant << 8 | event_code(&ev.kind));
-        match &ev.kind {
-            TenantEventKind::Arrive { app } => self.arrive(ev.tenant, (**app).clone()),
+        let decision = match &ev.kind {
+            TenantEventKind::Arrive { app } => Some(self.arrive(ev.tenant, (**app).clone())),
             TenantEventKind::SetIntensity { intensity } => {
                 self.set_intensity(ev.tenant, *intensity)
             }
             TenantEventKind::Depart => self.depart(ev.tenant),
-        }
+        };
         self.metrics.queue_depth.set(self.queue.len() as f64);
         self.metrics.active_tenants.set(self.active as f64);
+        decision
     }
 
-    /// Consume one event of a merged tenant + network stream.
-    pub fn service_step(&mut self, ev: &ServiceEvent) {
+    /// Consume one event of a merged tenant + network stream, returning
+    /// the decision it made (see [`OnlineScheduler::step`]).
+    pub fn service_step(&mut self, ev: &ServiceEvent) -> Option<Decision> {
         match ev {
             ServiceEvent::Tenant(t) => self.step(t),
-            ServiceEvent::Network(n) => self.network_step(n),
+            ServiceEvent::Network(n) => Some(self.network_step(n)),
         }
     }
 
@@ -344,10 +349,9 @@ impl OnlineScheduler {
     /// tenant the failure degraded into a forced migration pass ahead
     /// of the cadence. Fully digested: fault-laden runs stay
     /// bit-reproducible across repeats and solver worker counts.
-    pub fn network_step(&mut self, ev: &NetworkEvent) {
+    /// Returns the event's `NetworkEvent` decision.
+    pub fn network_step(&mut self, ev: &NetworkEvent) -> Decision {
         self.advance_to(ev.at);
-        self.stats.network_events += 1;
-        self.metrics.link_events.inc();
         self.shape_events.inc();
         self.stats.note(0x4e); // 'N'
         self.stats.note((ev.link as u64) << 8 | network_event_code(&ev.kind));
@@ -378,8 +382,7 @@ impl OnlineScheduler {
             }
         };
         self.stats.note_f64(fraction);
-        let now = self.sim.now();
-        self.stats.decide(now, TenantId::MAX, DecisionKind::NetworkEvent, fraction);
+        let decision = self.decide(TenantId::MAX, DecisionKind::NetworkEvent, fraction, None);
         self.metrics.capacity_lost.set(self.sim.capacity_lost_fraction());
         // Per-pod breakdown: network events are rare, so refreshing the
         // whole family here is cheap. The trailing bucket is the spine.
@@ -397,9 +400,10 @@ impl OnlineScheduler {
             // tenant with no better place to go stays put.
             let forced = self.degraded_tenant_ids();
             if !forced.is_empty() {
-                self.migration_pass_forced(&forced);
+                self.migration_pass(&forced);
             }
         }
+        decision
     }
 
     /// Running networked tenants currently scoring below the planner's
@@ -434,7 +438,6 @@ impl OnlineScheduler {
         let interval = self.cfg.drift.cadence.expect("measurement runs only with a cadence");
         let threshold = self.cfg.drift.threshold;
         let window = self.cfg.drift.window;
-        let now = self.sim.now();
         let mut drifted: Vec<(TenantId, f64)> = Vec::new();
         for id in 0..self.tenants.len() {
             let Some(t) = self.tenants[id].as_ref() else { continue };
@@ -459,33 +462,80 @@ impl OnlineScheduler {
             }
         }
         for &(id, err) in &drifted {
-            self.stats.drift_detected += 1;
-            self.metrics.drift_detected.inc();
             self.stats.note(0x64); // 'd'
             self.stats.note(id);
-            self.stats.decide_caused(
-                now,
-                id,
-                DecisionKind::DriftDetected,
-                err,
-                Cause::Drift { error: err, threshold },
-            );
+            let cause = Cause::Drift { error: err, threshold };
+            self.decide(id, DecisionKind::DriftDetected, err, Some(cause));
         }
         if !drifted.is_empty() {
             let forced: Vec<TenantId> = drifted.iter().map(|&(id, _)| id).collect();
-            self.migration_pass_forced(&forced);
+            self.migration_pass(&forced);
         }
     }
 
     /// Run a migration pass right now regardless of the cadence clock
     /// (tests and externally-scheduled deployments).
     pub fn force_migration_pass(&mut self) {
-        self.migration_pass();
+        self.migration_pass(&[]);
+    }
+
+    // ---------------------------------------------------------- decisions
+
+    /// Record one decision, stamped with the simulated clock: bump its
+    /// [`ServiceStats`] counter, its [`ServiceMetrics`] counter and, for
+    /// admission verdicts, its `choreo_admissions_total{reason}` series,
+    /// then push it into the trace ring. Every decision goes through
+    /// here, so the counters, the metrics and the trace cannot disagree.
+    /// Digest bytes stay with the callers: their tags and payloads are
+    /// irregular, and moving them would change every digest.
+    pub(crate) fn decide(
+        &mut self,
+        tenant: TenantId,
+        kind: DecisionKind,
+        value: f64,
+        cause: Option<Cause>,
+    ) -> Decision {
+        let (s, m) = (&mut self.stats, &self.metrics);
+        let (count, counter, reason) = match kind {
+            DecisionKind::Admit => (&mut s.admitted, &m.admitted, Some("admitted")),
+            DecisionKind::Queue => (&mut s.queued, &m.queued, Some("queued")),
+            DecisionKind::QueueAdmit => {
+                (&mut s.queue_admitted, &m.queue_admitted, Some("queue_admitted"))
+            }
+            DecisionKind::Reject => (&mut s.rejected, &m.rejected, Some("rejected_queue_full")),
+            DecisionKind::FailureReject => {
+                s.failure_rejections += 1;
+                m.failure_rejections.inc();
+                (&mut s.rejected, &m.rejected, Some("rejected_failure"))
+            }
+            DecisionKind::Duplicate => {
+                (&mut s.duplicate_arrivals, &m.duplicate_arrivals, Some("duplicate"))
+            }
+            DecisionKind::Depart => (&mut s.departures, &m.departures, None),
+            DecisionKind::Intensity => (&mut s.intensity_changes, &m.intensity_changes, None),
+            DecisionKind::Migrate => (&mut s.migrations, &m.migrations, None),
+            DecisionKind::ForcedMigration => {
+                s.failure_migrations += 1;
+                m.failure_migrations.inc();
+                (&mut s.migrations, &m.migrations, None)
+            }
+            DecisionKind::MigrationPass => (&mut s.migration_passes, &m.migration_passes, None),
+            DecisionKind::NetworkEvent => (&mut s.network_events, &m.link_events, None),
+            DecisionKind::DriftDetected => (&mut s.drift_detected, &m.drift_detected, None),
+        };
+        *count += 1;
+        counter.inc();
+        if let Some(reason) = reason {
+            m.admissions.get(&ReasonLabel(reason)).inc();
+        }
+        let decision = Decision { at: self.sim.now(), tenant, kind, value, cause };
+        self.stats.record(decision);
+        decision
     }
 
     // ---------------------------------------------------------- admission
 
-    fn arrive(&mut self, id: TenantId, app: AppProfile) {
+    fn arrive(&mut self, id: TenantId, app: AppProfile) -> Decision {
         self.stats.arrivals += 1;
         // At-least-once delivery hardening: a transport that duplicates
         // an Arrive frame must not overwrite a live tenant's state (that
@@ -494,63 +544,30 @@ impl OnlineScheduler {
         // untouched while duplicated ones stay deterministic.
         let live = self.tenants.get(id as usize).is_some_and(Option::is_some);
         if live || self.queue.iter().any(|(t, _, _)| *t == id) {
-            self.stats.duplicate_arrivals += 1;
-            self.metrics.duplicate_arrivals.inc();
-            self.metrics.admissions.get(&ReasonLabel("duplicate")).inc();
             self.stats.note(0x58); // 'X'
-            let now = self.sim.now();
-            self.stats.decide(now, id, DecisionKind::Duplicate, 0.0);
-            return;
+            return self.decide(id, DecisionKind::Duplicate, 0.0, None);
         }
         if self.tenants.len() <= id as usize {
             self.tenants.resize_with(id as usize + 1, || None);
         }
         match self.try_place(&app, self.cfg.policy) {
-            Some(placement) => {
-                self.admit(id, app, placement, DecisionKind::Admit, 1);
-                self.stats.admitted += 1;
-                self.metrics.admitted.inc();
-                self.metrics.admissions.get(&ReasonLabel("admitted")).inc();
-            }
+            Some(placement) => self.admit(id, app, placement, DecisionKind::Admit, 1),
             None if self.queue.len() < self.cfg.queue_capacity => {
-                self.stats.queued += 1;
-                self.metrics.queued.inc();
-                self.metrics.admissions.get(&ReasonLabel("queued")).inc();
                 self.stats.note(0x51); // 'Q'
-                let now = self.sim.now();
-                self.stats.decide(now, id, DecisionKind::Queue, self.queue.len() as f64);
+                let decision = self.decide(id, DecisionKind::Queue, self.queue.len() as f64, None);
                 self.queue.push_back((id, app, 1));
+                decision
             }
             None => {
-                self.stats.rejected += 1;
-                self.metrics.rejected.inc();
-                // Count *why* capacity was gone: a rejection during a
+                // Record *why* capacity was gone: a rejection during a
                 // failure epoch is the network's fault, not sizing's.
-                if self.links_down > 0 {
-                    self.stats.failure_rejections += 1;
-                    self.metrics.failure_rejections.inc();
-                    self.metrics.admissions.get(&ReasonLabel("rejected_failure")).inc();
-                    self.stats.note(0x72); // 'r'
-                    let now = self.sim.now();
-                    self.stats.decide_caused(
-                        now,
-                        id,
-                        DecisionKind::FailureReject,
-                        0.0,
-                        Cause::Reject(RejectReason::LinksDown),
-                    );
+                let (kind, reason, tag) = if self.links_down > 0 {
+                    (DecisionKind::FailureReject, RejectReason::LinksDown, b'r')
                 } else {
-                    self.metrics.admissions.get(&ReasonLabel("rejected_queue_full")).inc();
-                    self.stats.note(0x52); // 'R'
-                    let now = self.sim.now();
-                    self.stats.decide_caused(
-                        now,
-                        id,
-                        DecisionKind::Reject,
-                        0.0,
-                        Cause::Reject(RejectReason::QueueFull),
-                    );
-                }
+                    (DecisionKind::Reject, RejectReason::QueueFull, b'R')
+                };
+                self.stats.note(u64::from(tag));
+                self.decide(id, kind, 0.0, Some(Cause::Reject(reason)))
             }
         }
     }
@@ -623,7 +640,7 @@ impl OnlineScheduler {
         placement: Placement,
         kind: DecisionKind,
         intensity: u32,
-    ) {
+    ) -> Decision {
         debug_assert!(validate(&app, &self.machines, &placement).is_ok());
         self.load.apply(&app, &placement);
         let transfers: Vec<(usize, usize)> = app
@@ -643,8 +660,7 @@ impl OnlineScheduler {
             self.stats.note(h as u64);
         }
         self.stats.note_f64(baseline);
-        let now = self.sim.now();
-        self.stats.decide(now, id, kind, baseline);
+        let decision = self.decide(id, kind, baseline, None);
         self.tenants[id as usize] = Some(Tenant {
             app,
             placement,
@@ -652,10 +668,11 @@ impl OnlineScheduler {
             transfers,
             flows,
             baseline,
-            last_move_at: now,
+            last_move_at: decision.at,
             epoch_scores: Vec::new(),
         });
         self.active += 1;
+        decision
     }
 
     /// Start `intensity` unbounded flows per network transfer (co-located
@@ -704,16 +721,12 @@ impl OnlineScheduler {
 
     // ---------------------------------------------------------- lifecycle
 
-    fn depart(&mut self, id: TenantId) {
+    fn depart(&mut self, id: TenantId) -> Option<Decision> {
         if let Some(pos) = self.queue.iter().position(|(t, _, _)| *t == id) {
             // Left before capacity freed up.
-            self.stats.departures += 1;
-            self.metrics.departures.inc();
             self.queue.remove(pos);
             self.stats.note(0x44); // 'D'
-            let now = self.sim.now();
-            self.stats.decide(now, id, DecisionKind::Depart, 0.0);
-            return;
+            return Some(self.decide(id, DecisionKind::Depart, 0.0, None));
         }
         let Some(t) = self.tenants.get_mut(id as usize).and_then(Option::take) else {
             // Rejected at arrival (or never seen): nothing was admitted,
@@ -721,17 +734,14 @@ impl OnlineScheduler {
             // against admissions; digest a distinct byte so hostile
             // streams still replay bit-identically.
             self.stats.note(0x6e); // 'n' — no-op departure
-            return;
+            return None;
         };
         // Only a real teardown (queued-drop above, or this live drop)
-        // counts as a departure.
-        self.stats.departures += 1;
-        self.metrics.departures.inc();
+        // is a departure decision.
         self.active -= 1;
         let score = self.service_score(&t.flows);
         self.stats.record_departed_rate(score);
-        let now = self.sim.now();
-        self.stats.decide(now, id, DecisionKind::Depart, score);
+        let decision = self.decide(id, DecisionKind::Depart, score, None);
         let keys: Vec<FlowKey> = t.flows.iter().flatten().copied().collect();
         self.sim.stop_flows_now(&keys);
         // The departure score above was the last read of these flows;
@@ -740,6 +750,7 @@ impl OnlineScheduler {
         self.sim.release_flows(&keys);
         self.load.remove(&t.app, &t.placement);
         self.retry_queue();
+        Some(decision)
     }
 
     /// Departure freed capacity: re-try every waiting tenant in FIFO
@@ -753,16 +764,13 @@ impl OnlineScheduler {
             if let Some(placement) = self.try_place(&app, self.cfg.policy) {
                 self.queue.remove(i);
                 self.admit(id, app, placement, DecisionKind::QueueAdmit, intensity);
-                self.stats.queue_admitted += 1;
-                self.metrics.queue_admitted.inc();
-                self.metrics.admissions.get(&ReasonLabel("queue_admitted")).inc();
             } else {
                 i += 1;
             }
         }
     }
 
-    fn set_intensity(&mut self, id: TenantId, intensity: u32) {
+    fn set_intensity(&mut self, id: TenantId, intensity: u32) -> Option<Decision> {
         debug_assert!(intensity >= 1);
         let running = self.tenants.get(id as usize).is_some_and(Option::is_some);
         if !running {
@@ -777,15 +785,13 @@ impl OnlineScheduler {
                     self.stats.note(intensity as u64);
                 }
             }
-            return; // rejected or departed otherwise
+            return None; // rejected or departed otherwise
         }
         let slot = self.tenants.get_mut(id as usize).expect("checked");
         let t = slot.as_mut().expect("checked");
         if t.intensity == intensity {
-            return;
+            return None;
         }
-        self.stats.intensity_changes += 1;
-        self.metrics.intensity_changes.inc();
         self.stats.note(0x49); // 'I'
         self.stats.note(intensity as u64);
         if intensity > t.intensity {
@@ -836,8 +842,7 @@ impl OnlineScheduler {
         t.epoch_scores.clear();
         let baseline = t.baseline;
         self.stats.note_f64(baseline);
-        let now = self.sim.now();
-        self.stats.decide(now, id, DecisionKind::Intensity, intensity as f64);
+        Some(self.decide(id, DecisionKind::Intensity, intensity as f64, None))
     }
 
     // --------------------------------------------------------- invariants

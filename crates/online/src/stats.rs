@@ -331,7 +331,9 @@ pub struct ServiceStats {
     pub queued: u64,
     /// Queued tenants later admitted by a departure retry.
     pub queue_admitted: u64,
-    /// Arrivals rejected because the queue was full.
+    /// Arrivals rejected: the wait queue was full, either with every
+    /// link up or while links were down
+    /// ([`ServiceStats::failure_rejections`] counts that subset).
     pub rejected: u64,
     /// Departures that tore real state down (a running tenant's flows,
     /// or a queued tenant's wait-queue slot). A Depart for a tenant that
@@ -358,7 +360,8 @@ pub struct ServiceStats {
     pub drift_detected: u64,
     /// Tenants moved by a forced (drift- or failure-triggered) pass.
     pub failure_migrations: u64,
-    /// Arrivals rejected while links were down (capacity truly gone).
+    /// Arrivals rejected while links were down (capacity truly gone);
+    /// a subset of [`ServiceStats::rejected`].
     pub failure_rejections: u64,
     rate_sum_bps: f64,
     hash: u64,
@@ -402,23 +405,11 @@ impl ServiceStats {
         }
     }
 
-    /// Record one decision in the trace ring.
-    pub(crate) fn decide(&mut self, at: Nanos, tenant: TenantId, kind: DecisionKind, value: f64) {
-        self.trace.push(Decision { at, tenant, kind, value, cause: None });
-    }
-
-    /// [`ServiceStats::decide`] with the cause metadata attached. The
-    /// cause rides only in the trace ring — it is never digested — so
-    /// attaching it cannot fork a trajectory.
-    pub(crate) fn decide_caused(
-        &mut self,
-        at: Nanos,
-        tenant: TenantId,
-        kind: DecisionKind,
-        value: f64,
-        cause: Cause,
-    ) {
-        self.trace.push(Decision { at, tenant, kind, value, cause: Some(cause) });
+    /// Push one decision into the trace ring. Only
+    /// `OnlineScheduler::decide` calls this, after bumping the
+    /// decision's counters, so the ring and the counters cannot disagree.
+    pub(crate) fn record(&mut self, d: Decision) {
+        self.trace.push(d);
     }
 
     /// The decision flight recorder (most recent decisions, bounded).
@@ -470,6 +461,10 @@ impl ServiceStats {
 mod tests {
     use super::*;
 
+    fn decision(at: Nanos, tenant: TenantId, kind: DecisionKind, value: f64) -> Decision {
+        Decision { at, tenant, kind, value, cause: None }
+    }
+
     #[test]
     fn digest_tracks_decision_stream() {
         let mut a = ServiceStats::default();
@@ -492,7 +487,7 @@ mod tests {
     fn trace_ring_keeps_the_most_recent_decisions() {
         let mut s = ServiceStats::with_trace_capacity(3);
         for i in 0..5u64 {
-            s.decide(i, i, DecisionKind::Admit, i as f64);
+            s.record(decision(i, i, DecisionKind::Admit, i as f64));
         }
         let ring = s.decisions();
         assert_eq!(ring.total(), 5);
@@ -511,23 +506,23 @@ mod tests {
         assert_eq!(tail(usize::MAX), vec![2, 3, 4], "k past the retained count");
         // Before wrap-around the ring returns what it has.
         let mut t = ServiceStats::with_trace_capacity(8);
-        t.decide(1, 0, DecisionKind::Queue, 0.0);
+        t.record(decision(1, 0, DecisionKind::Queue, 0.0));
         assert_eq!(t.decisions().recent().len(), 1);
     }
 
     #[test]
     fn decisions_render_as_jsonl_with_causes() {
         let mut s = ServiceStats::with_trace_capacity(8);
-        s.decide(5, 3, DecisionKind::Admit, 2.5);
-        s.decide_caused(7, 4, DecisionKind::Reject, 0.0, Cause::Reject(RejectReason::QueueFull));
-        s.decide_caused(
-            9,
-            4,
-            DecisionKind::DriftDetected,
-            0.125,
-            Cause::Drift { error: 0.125, threshold: 0.06 },
-        );
-        s.decide(11, u64::MAX, DecisionKind::MigrationPass, f64::INFINITY);
+        s.record(decision(5, 3, DecisionKind::Admit, 2.5));
+        s.record(Decision {
+            cause: Some(Cause::Reject(RejectReason::QueueFull)),
+            ..decision(7, 4, DecisionKind::Reject, 0.0)
+        });
+        s.record(Decision {
+            cause: Some(Cause::Drift { error: 0.125, threshold: 0.06 }),
+            ..decision(9, 4, DecisionKind::DriftDetected, 0.125)
+        });
+        s.record(decision(11, u64::MAX, DecisionKind::MigrationPass, f64::INFINITY));
         let jsonl = s.decisions().to_jsonl(16);
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -597,11 +592,9 @@ mod tests {
                     };
                     let kind = kinds[i as usize % kinds.len()];
                     let cause = causes[i as usize % causes.len()];
-                    match cause {
-                        Some(c) => s.decide_caused(i, tenant, kind, value, c),
-                        None => s.decide(i, tenant, kind, value),
-                    }
-                    all.push(Decision { at: i, tenant, kind, value, cause });
+                    let d = Decision { at: i, tenant, kind, value, cause };
+                    s.record(d);
+                    all.push(d);
                 }
                 mirror.sync(s.decisions(), &mut out);
                 let retained = &all[all.len().saturating_sub(capacity)..];
@@ -617,7 +610,7 @@ mod tests {
     fn a_fresh_jsonl_mirror_replaces_the_buffer() {
         let mut s = ServiceStats::with_trace_capacity(4);
         for i in 0..6u64 {
-            s.decide(i, i, DecisionKind::Depart, 1.0);
+            s.record(decision(i, i, DecisionKind::Depart, 1.0));
         }
         let mut out = "stale\n".to_string();
         JsonlMirror::default().sync(s.decisions(), &mut out);

@@ -11,7 +11,10 @@
 use std::sync::{Arc, Mutex};
 
 use choreo_metrics::{Counter, Registry};
-use choreo_online::{JsonlMirror, OnlineConfig, OnlineScheduler, SchedulerBuilder};
+use choreo_online::{
+    Cause, Decision, DecisionKind, JsonlMirror, OnlineConfig, OnlineScheduler, RejectReason,
+    SchedulerBuilder,
+};
 use choreo_profile::{NetworkEvent, TenantEvent, TenantEventKind};
 use choreo_topology::{Nanos, RouteTable, Topology};
 use choreo_wire::{ServiceRequest, ServiceResponse, ServiceStatsReply};
@@ -227,31 +230,32 @@ impl<E: ServiceEnv> PlacementService<E> {
         }
         match req {
             ServiceRequest::Admit { tenant, app } => {
-                let before = {
-                    let s = self.scheduler.stats();
-                    (s.admitted, s.queued, s.rejected, s.duplicate_arrivals)
-                };
-                self.scheduler.step(&TenantEvent {
+                let arrival = TenantEvent {
                     at,
                     tenant,
                     kind: TenantEventKind::Arrive { app: Box::new(app) },
-                });
-                let s = self.scheduler.stats();
-                if s.admitted > before.0 {
-                    let hosts = self
-                        .scheduler
-                        .tenant_placement(tenant)
-                        .map(|p| p.assignment.clone())
-                        .unwrap_or_default();
-                    ServiceResponse::Admitted { hosts }
-                } else if s.queued > before.1 {
-                    ServiceResponse::Queued
-                } else if s.duplicate_arrivals > before.3 {
-                    ServiceResponse::Rejected { reason: format!("tenant {tenant} already known") }
-                } else if s.rejected > before.2 {
-                    ServiceResponse::Rejected { reason: "no capacity and wait queue full".into() }
-                } else {
-                    ServiceResponse::Error("arrival produced no decision".into())
+                };
+                match self.scheduler.step(&arrival) {
+                    Some(Decision { kind: DecisionKind::Admit, .. }) => {
+                        let placement = self.scheduler.tenant_placement(tenant);
+                        let hosts =
+                            placement.expect("admitted tenants are placed").assignment.clone();
+                        ServiceResponse::Admitted { hosts }
+                    }
+                    Some(Decision { kind: DecisionKind::Queue, .. }) => ServiceResponse::Queued,
+                    Some(Decision { kind: DecisionKind::Duplicate, .. }) => {
+                        ServiceResponse::Rejected {
+                            reason: format!("tenant {tenant} already known"),
+                        }
+                    }
+                    Some(Decision { cause: Some(Cause::Reject(r)), .. }) => {
+                        let reason = match r {
+                            RejectReason::QueueFull => "no capacity and wait queue full",
+                            RejectReason::LinksDown => "links down and wait queue full",
+                        };
+                        ServiceResponse::Rejected { reason: reason.into() }
+                    }
+                    other => unreachable!("an arrival decided {other:?}"),
                 }
             }
             ServiceRequest::SetIntensity { tenant, intensity } => {
@@ -419,6 +423,52 @@ mod tests {
         let rs = env.responses(1);
         assert!(matches!(rs[0], ServiceResponse::Admitted { .. }));
         assert!(matches!(&rs[1], ServiceResponse::Rejected { reason } if reason.contains("5")));
+    }
+
+    #[test]
+    fn every_admit_outcome_gets_its_reply() {
+        use choreo_profile::NetworkEventKind;
+        // One-core hosts, every host a candidate and a one-slot queue:
+        // an n-task tenant fills the n-host cluster.
+        let (topo, routes) = small_topo();
+        let n = topo.hosts().len();
+        let online = OnlineConfig {
+            cores_per_host: 1.0,
+            candidate_hosts: n,
+            queue_capacity: 1,
+            ..OnlineConfig::default()
+        };
+        let cfg = ServiceConfig { online, ..ServiceConfig::default() };
+        let admit = |tenant, tasks| ServiceRequest::Admit { tenant, app: app(tasks) };
+        let fail = ServiceRequest::InjectNetworkEvent {
+            at: 40,
+            link: 0,
+            kind: NetworkEventKind::LinkFail,
+        };
+        let script = vec![
+            (10, 1, admit(0, n)),
+            (20, 1, admit(1, n)),
+            (30, 1, admit(2, n)),
+            (40, 1, fail),
+            (50, 1, admit(3, n)),
+            (60, 1, admit(0, 2)),
+            (70, 1, admit(u64::MAX, 2)),
+        ];
+        let mut svc = PlacementService::new(topo, routes, cfg, SimEnv::new(script));
+        svc.run();
+        let env = svc.into_env();
+        let rs = env.responses(1);
+        let rejected = |i: usize| match &rs[i] {
+            ServiceResponse::Rejected { reason } => reason.as_str(),
+            r => panic!("reply {i}: {r:?}"),
+        };
+        assert!(matches!(&rs[0], ServiceResponse::Admitted { hosts } if hosts.len() == n));
+        assert_eq!(rs[1], ServiceResponse::Queued);
+        assert_eq!(rejected(2), "no capacity and wait queue full");
+        assert_eq!(rs[3], ServiceResponse::Done);
+        assert_eq!(rejected(4), "links down and wait queue full");
+        assert_eq!(rejected(5), "tenant 0 already known");
+        assert!(rejected(6).contains("exceeds the service maximum"), "{}", rejected(6));
     }
 
     #[test]

@@ -119,7 +119,9 @@ pub struct ServiceStatsReply {
     pub queued: u64,
     /// Queued tenants admitted by a departure retry.
     pub queue_admitted: u64,
-    /// Arrivals rejected with the queue full.
+    /// Arrivals rejected with the wait queue full, with every link up or
+    /// while links were down (the scheduler's `failure_rejections`
+    /// counter holds the links-down subset).
     pub rejected: u64,
     /// Duplicate arrivals refused.
     pub duplicates: u64,

@@ -8,7 +8,8 @@ use std::sync::Arc;
 use choreo_repro::metrics::span::{self, RegistrySpans};
 use choreo_repro::metrics::Registry;
 use choreo_repro::online::{
-    DriftConfig, MigrationConfig, OnlineConfig, OnlineScheduler, PlacementPolicy, SchedulerBuilder,
+    Decision, DecisionKind, DriftConfig, MigrationConfig, OnlineConfig, OnlineScheduler,
+    PlacementPolicy, ReasonLabel, SchedulerBuilder,
 };
 use choreo_repro::profile::{
     merge_events, switch_link_groups, AppPattern, AppProfile, CorrelatedBatchConfig,
@@ -220,6 +221,171 @@ proptest! {
             let w = run_checked_faults(workers, 7, &evs);
             prop_assert_eq!(a, w, "worker count {} changed the fault-laden trajectory", workers);
         }
+    }
+}
+
+// ------------------------------------------------ one decision record
+
+/// Every [`DecisionKind`], for the per-kind tallies below.
+const KINDS: [DecisionKind; 13] = [
+    DecisionKind::Admit,
+    DecisionKind::Queue,
+    DecisionKind::QueueAdmit,
+    DecisionKind::Reject,
+    DecisionKind::Duplicate,
+    DecisionKind::Depart,
+    DecisionKind::Intensity,
+    DecisionKind::Migrate,
+    DecisionKind::MigrationPass,
+    DecisionKind::NetworkEvent,
+    DecisionKind::DriftDetected,
+    DecisionKind::ForcedMigration,
+    DecisionKind::FailureReject,
+];
+
+/// Run [`fault_events`] with every 9th event delivered twice through a
+/// scheduler with a live registry, a trace ring that keeps every
+/// decision, drift on and a one-slot wait queue, so every decision kind
+/// fires.
+/// Checks that each step returns the decision its event made and that
+/// every decision counter, its metric and its `choreo_admissions_total`
+/// series equal the per-kind tally of the trace. Returns the tally,
+/// indexed like [`KINDS`].
+fn decisions_agree_with_counters(stream_seed: u64, net_seed: u64) -> [u64; 13] {
+    use DecisionKind as K;
+    let evs: Vec<ServiceEvent> = fault_events(stream_seed, net_seed, 200)
+        .into_iter()
+        .enumerate()
+        .flat_map(|(i, ev)| std::iter::repeat_n(ev, if i % 9 == 8 { 2 } else { 1 }))
+        .collect();
+    let registry = Registry::new();
+    let topo = Arc::new(test_tree());
+    let routes = Arc::new(RouteTable::new(&topo));
+    let cfg = OnlineConfig {
+        candidate_hosts: 8,
+        queue_capacity: 1,
+        migration: MigrationConfig { cadence: Some(15 * SECS), ..Default::default() },
+        drift: DriftConfig { cadence: Some(10 * SECS), ..Default::default() },
+        ..Default::default()
+    };
+    let mut svc = SchedulerBuilder::new(topo, routes)
+        .config(cfg)
+        .seed(7)
+        .metrics_registry(&registry)
+        .trace_capacity(1 << 20)
+        .build();
+    for ev in &evs {
+        let decision = svc.service_step(ev);
+        let allowed: &[K] = match ev {
+            ServiceEvent::Network(_) => &[K::NetworkEvent],
+            ServiceEvent::Tenant(t) => match t.kind {
+                TenantEventKind::Arrive { .. } => {
+                    &[K::Admit, K::Queue, K::Reject, K::FailureReject, K::Duplicate]
+                }
+                TenantEventKind::SetIntensity { .. } => &[K::Intensity],
+                TenantEventKind::Depart => &[K::Depart],
+            },
+        };
+        match (ev, decision) {
+            (_, Some(Decision { kind, tenant, at, .. })) => {
+                assert!(allowed.contains(&kind), "{ev:?} returned {decision:?}");
+                assert_eq!(at, svc.now(), "stamped with the event's clock");
+                if let ServiceEvent::Tenant(t) = ev {
+                    assert_eq!(tenant, t.tenant, "{ev:?} returned {decision:?}");
+                }
+            }
+            // Only the digested no-ops decide nothing: an unknown
+            // departure, an unchanged or queued intensity.
+            (ServiceEvent::Tenant(t), None) => {
+                assert!(!matches!(t.kind, TenantEventKind::Arrive { .. }), "{t:?} decided nothing")
+            }
+            (ServiceEvent::Network(n), None) => panic!("{n:?} decided nothing"),
+        }
+    }
+    svc.check_invariants();
+    let ring = svc.stats().decisions();
+    let recent = ring.recent();
+    assert_eq!(recent.len() as u64, ring.total(), "the ring kept every decision");
+    let of = |kinds: &[K]| recent.iter().filter(|d| kinds.contains(&d.kind)).count() as u64;
+    let (s, m) = (svc.stats(), svc.metrics());
+    let counters = [
+        ("admitted", s.admitted, m.admitted.get(), &[K::Admit][..]),
+        ("queued", s.queued, m.queued.get(), &[K::Queue]),
+        ("queue_admitted", s.queue_admitted, m.queue_admitted.get(), &[K::QueueAdmit]),
+        ("rejected", s.rejected, m.rejected.get(), &[K::Reject, K::FailureReject]),
+        (
+            "failure_rejections",
+            s.failure_rejections,
+            m.failure_rejections.get(),
+            &[K::FailureReject],
+        ),
+        ("duplicate_arrivals", s.duplicate_arrivals, m.duplicate_arrivals.get(), &[K::Duplicate]),
+        ("departures", s.departures, m.departures.get(), &[K::Depart]),
+        ("intensity_changes", s.intensity_changes, m.intensity_changes.get(), &[K::Intensity]),
+        ("migrations", s.migrations, m.migrations.get(), &[K::Migrate, K::ForcedMigration]),
+        (
+            "failure_migrations",
+            s.failure_migrations,
+            m.failure_migrations.get(),
+            &[K::ForcedMigration],
+        ),
+        ("migration_passes", s.migration_passes, m.migration_passes.get(), &[K::MigrationPass]),
+        ("network_events", s.network_events, m.link_events.get(), &[K::NetworkEvent]),
+        ("drift_detected", s.drift_detected, m.drift_detected.get(), &[K::DriftDetected]),
+    ];
+    for (name, stat, metric, kinds) in counters {
+        assert_eq!(stat, of(kinds), "ServiceStats::{name} against the trace");
+        assert_eq!(metric, of(kinds), "ServiceMetrics::{name} against the trace");
+    }
+    let series = [
+        ("admitted", K::Admit),
+        ("queued", K::Queue),
+        ("queue_admitted", K::QueueAdmit),
+        ("rejected_queue_full", K::Reject),
+        ("rejected_failure", K::FailureReject),
+        ("duplicate", K::Duplicate),
+    ];
+    for (reason, kind) in series {
+        let n = m.admissions.get(&ReasonLabel(reason)).get();
+        assert_eq!(
+            n,
+            of(&[kind]),
+            "choreo_admissions_total{{reason={reason:?}}} against the trace"
+        );
+    }
+    assert_eq!(
+        s.arrivals,
+        s.admitted + s.queued + s.rejected + s.duplicate_arrivals,
+        "every arrival decides exactly once"
+    );
+    KINDS.map(|k| of(&[k]))
+}
+
+proptest! {
+    // The chaos suite: CI re-runs it at PROPTEST_CASES=256.
+    #![proptest_config(ProptestConfig::with_cases(proptest::resolve_cases(6)))]
+    #[test]
+    fn decision_counters_match_the_trace(
+        stream_seed in 0u64..1000,
+        net_seed in 0u64..1000,
+    ) {
+        decisions_agree_with_counters(stream_seed, net_seed);
+    }
+}
+
+#[test]
+fn decision_counters_cover_every_kind() {
+    // The agreement check above is vacuous for a kind that never fires;
+    // these seeds make every kind fire at least once.
+    let mut seen = [0u64; 13];
+    for seed in 0..4 {
+        let tally = decisions_agree_with_counters(seed, seed + 100);
+        for (total, n) in seen.iter_mut().zip(tally) {
+            *total += n;
+        }
+    }
+    for (kind, n) in KINDS.iter().zip(seen) {
+        assert!(n > 0, "no {kind:?} decision across the seeds: {seen:?}");
     }
 }
 
