@@ -6,11 +6,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use choreo_flowsim::{max_min_rates, FlowArena, MaxMinSolver, ResourcePartition, ShardedSolver};
+use choreo_flowsim::{max_min_rates, FlowArena, MaxMinSolver};
 use choreo_topology::route::splitmix64;
 use choreo_topology::{MultiRootedTreeSpec, RouteTable};
 
-fn workload(flows: usize) -> (Vec<f64>, Vec<Vec<u32>>, ResourcePartition) {
+fn workload(flows: usize) -> (Vec<f64>, Vec<Vec<u32>>) {
     let spec = MultiRootedTreeSpec {
         cores: 2,
         pods: 4,
@@ -21,7 +21,6 @@ fn workload(flows: usize) -> (Vec<f64>, Vec<Vec<u32>>, ResourcePartition) {
     };
     let topo = spec.build();
     let routes = RouteTable::new(&topo);
-    let part = ResourcePartition::for_topology(&topo);
     let caps: Vec<f64> =
         topo.links().iter().flat_map(|l| [l.spec.rate_bps, l.spec.rate_bps]).collect();
     let h = topo.hosts();
@@ -40,13 +39,13 @@ fn workload(flows: usize) -> (Vec<f64>, Vec<Vec<u32>>, ResourcePartition) {
                 .collect()
         })
         .collect();
-    (caps, paths, part)
+    (caps, paths)
 }
 
 fn bench_fairshare_core(c: &mut Criterion) {
     let mut group = c.benchmark_group("fairshare");
     for flows in [50usize, 200, 400] {
-        let (caps, paths, part) = workload(flows);
+        let (caps, paths) = workload(flows);
         // From-scratch: rebuild the spec list and solve per call (the
         // pre-arena engine path).
         group.bench_with_input(BenchmarkId::new("from_scratch", flows), &(), |b, _| {
@@ -90,27 +89,6 @@ fn bench_fairshare_core(c: &mut Criterion) {
                 next += 1;
                 warm_solver.solve_warm(&caps, &mut warm_arena, &mut warm_rates);
                 black_box(warm_rates.len())
-            })
-        });
-        // Sharded: same churn, each reallocation splits the arena by
-        // pod, solves the shards (fanned across the machine's cores) and
-        // reconciles the cross-pod flows — bit-identical to a cold solve
-        // (see the property suite and bench_fairshare's assertion).
-        let mut sh_arena = FlowArena::new(caps.len());
-        let mut sh_slots: Vec<_> = paths.iter().map(|p| sh_arena.add(p)).collect();
-        let mut sh_driver = ShardedSolver::auto();
-        let mut sh_solver = MaxMinSolver::new();
-        let mut sh_rates = Vec::new();
-        sh_driver.solve_sharded(&caps, &mut sh_arena, &part, &mut sh_solver, &mut sh_rates);
-        let mut next = 0usize;
-        group.bench_with_input(BenchmarkId::new("sharded", flows), &(), |b, _| {
-            b.iter(|| {
-                let k = next % sh_slots.len();
-                sh_arena.remove(sh_slots[k]);
-                sh_slots[k] = sh_arena.add(&paths[(next * 7 + 1) % paths.len()]);
-                next += 1;
-                sh_driver.solve_sharded(&caps, &mut sh_arena, &part, &mut sh_solver, &mut sh_rates);
-                black_box(sh_rates.len())
             })
         });
     }

@@ -16,8 +16,7 @@
 //!   random placements with greedy moves).
 //!
 //! Determinism is asserted, not assumed: the measured run's trajectory
-//! digest must be bit-identical to a fresh repeat and to a run with the
-//! sharded solve path fanned across 2 workers.
+//! digest must be bit-identical to a fresh repeat.
 //!
 //! # Observability overhead
 //!
@@ -39,8 +38,8 @@
 //! host ladder under the **same** tenant stream (constant offered load,
 //! growing cluster) and emits, per rung: best-of-3 ns/event, the flow
 //! record table's final size and the peak concurrent flow count. Each
-//! rung runs with 1, 2 and 8 sharded workers and asserts the trajectory
-//! digests are bit-identical; every rung asserts the recycling memory
+//! rung runs 3 repeats and asserts their trajectory digests are
+//! bit-identical; every rung asserts the recycling memory
 //! ceiling (`flow_records ≤ 2 × peak concurrent flows`), and the
 //! 2048-host rung additionally asserts its per-event cost stays within
 //! 1.2× of the 128-host rung — the scaling curve, not one point, is the
@@ -63,7 +62,7 @@
 //! heavy-tailed tenant sizes, a flash-crowd peak sweep locating its
 //! rejection knee, correlated arrival batches and the cross-pod
 //! pattern — each against the nominal baseline on the same cluster,
-//! every run digest-asserted at 1/2/8 workers — plus a correlated
+//! every run digest-asserted against a repeat — plus a correlated
 //! whole-switch outage that must recover to ≥ 0.5× the pre-failure
 //! mean networked rate with failure rejections accounted.
 //!
@@ -86,8 +85,8 @@ use choreo_profile::{
 use choreo_topology::{MultiRootedTreeSpec, RouteTable, Topology, SECS};
 
 /// The service cluster: 8 pods × 4 ToRs × 4 hosts = 128 hosts, two
-/// cores — the same shape the sharded fair-share bench uses, so the
-/// 2-worker determinism run exercises real pod structure.
+/// cores — the same shape as the 128-host rung of the fair-share
+/// bench's sweep.
 fn bench_tree() -> Topology {
     let spec = MultiRootedTreeSpec {
         cores: 2,
@@ -123,10 +122,9 @@ fn stream(seed: u64) -> WorkloadStream {
     WorkloadStream::new(cfg, seed)
 }
 
-fn service_config(policy: PlacementPolicy, workers: usize) -> OnlineConfig {
+fn service_config(policy: PlacementPolicy) -> OnlineConfig {
     OnlineConfig {
         policy,
-        workers,
         migration: match policy {
             // The baseline must stay network-oblivious end to end.
             PlacementPolicy::Random(_) => MigrationConfig { cadence: None, ..Default::default() },
@@ -142,10 +140,10 @@ fn service_config(policy: PlacementPolicy, workers: usize) -> OnlineConfig {
     }
 }
 
-fn build(policy: PlacementPolicy, workers: usize) -> OnlineScheduler {
+fn build(policy: PlacementPolicy) -> OnlineScheduler {
     let topo = Arc::new(bench_tree());
     let routes = Arc::new(RouteTable::new(&topo));
-    SchedulerBuilder::new(topo, routes).config(service_config(policy, workers)).seed(42).build()
+    SchedulerBuilder::new(topo, routes).config(service_config(policy)).seed(42).build()
 }
 
 struct Run {
@@ -218,11 +216,10 @@ fn sweep_run(
     topo: &Arc<Topology>,
     routes: &Arc<RouteTable>,
     events: &[TenantEvent],
-    workers: usize,
     warmup: usize,
 ) -> (f64, u64, usize, usize) {
     let mut svc = SchedulerBuilder::new(Arc::clone(topo), Arc::clone(routes))
-        .config(service_config(PlacementPolicy::Greedy, workers))
+        .config(service_config(PlacementPolicy::Greedy))
         .seed(42)
         .build();
     for ev in &events[..warmup] {
@@ -238,9 +235,9 @@ fn sweep_run(
     (ns_per_event, trace, sim.flow_records(), sim.peak_active_flows())
 }
 
-/// Climb the ladder: per rung, identical-trajectory runs at 1, 2 and 8
-/// sharded workers (digest-asserted; best-of-3 timing) plus the
-/// recycling memory-ceiling assert.
+/// Climb the ladder: per rung, 3 identical-trajectory repeats
+/// (digest-asserted; best-of-3 timing) plus the recycling memory-ceiling
+/// assert.
 fn run_sweep(max_hosts: usize, warmup: usize, total: usize) -> Vec<SweepRung> {
     let events: Vec<TenantEvent> = stream(7).take(total).collect();
     let mut rungs = Vec::new();
@@ -261,13 +258,11 @@ fn run_sweep(max_hosts: usize, warmup: usize, total: usize) -> Vec<SweepRung> {
         let mut best = f64::INFINITY;
         let mut digest = None;
         let (mut records, mut concurrent) = (0, 0);
-        for workers in [1usize, 2, 8] {
-            let (ns, trace, recs, conc) = sweep_run(&topo, &routes, &events, workers, warmup);
+        for repeat in 0..3 {
+            let (ns, trace, recs, conc) = sweep_run(&topo, &routes, &events, warmup);
             match digest {
                 None => digest = Some(trace),
-                Some(d) => {
-                    assert_eq!(d, trace, "{} hosts: {workers}-worker digest diverged", spec.hosts)
-                }
+                Some(d) => assert_eq!(d, trace, "{} hosts: repeat {repeat} diverged", spec.hosts),
             }
             best = best.min(ns);
             (records, concurrent) = (recs, conc);
@@ -319,7 +314,7 @@ struct Failover {
 fn run_failover() -> Failover {
     let topo = Arc::new(bench_tree());
     let routes = Arc::new(RouteTable::new(&topo));
-    let mut cfg = service_config(PlacementPolicy::Greedy, 0);
+    let mut cfg = service_config(PlacementPolicy::Greedy);
     cfg.drift = DriftConfig { cadence: Some(5 * SECS), ..Default::default() };
     let mut svc = SchedulerBuilder::new(Arc::clone(&topo), routes).config(cfg).seed(42).build();
     for ev in stream(7).take(2_500) {
@@ -391,10 +386,7 @@ fn run_saturation() -> (Vec<SatPoint>, u64) {
             ..Default::default()
         };
         let mut svc = SchedulerBuilder::new(Arc::clone(&topo), Arc::clone(&routes))
-            .config(OnlineConfig {
-                queue_capacity: 8,
-                ..service_config(PlacementPolicy::Greedy, 0)
-            })
+            .config(OnlineConfig { queue_capacity: 8, ..service_config(PlacementPolicy::Greedy) })
             .seed(42)
             .build();
         for ev in WorkloadStream::new(cfg, 13).take(2_000) {
@@ -457,10 +449,10 @@ struct ShapeOutcome {
     mean_rate_bps: Option<f64>,
 }
 
-/// Drive one shaped event list through fresh schedulers at 1, 2 and 8
-/// sharded workers: the trajectory digests must bit-match, the
-/// scheduler invariants must hold at the end, and the (identical)
-/// pressure counters come back for the report.
+/// Drive one shaped event list through two fresh schedulers: the
+/// trajectory digests must bit-match, the scheduler invariants must hold
+/// at the end, and the (identical) pressure counters come back for the
+/// report.
 fn run_shaped(
     topo: &Arc<Topology>,
     routes: &Arc<RouteTable>,
@@ -468,12 +460,9 @@ fn run_shaped(
 ) -> ShapeOutcome {
     let mut digest = None;
     let mut out = None;
-    for workers in [1usize, 2, 8] {
+    for repeat in 0..2 {
         let mut svc = SchedulerBuilder::new(Arc::clone(topo), Arc::clone(routes))
-            .config(OnlineConfig {
-                queue_capacity: 8,
-                ..service_config(PlacementPolicy::Greedy, workers)
-            })
+            .config(OnlineConfig { queue_capacity: 8, ..service_config(PlacementPolicy::Greedy) })
             .seed(42)
             .build();
         for ev in events {
@@ -485,7 +474,7 @@ fn run_shaped(
             Some(d) => assert_eq!(
                 d,
                 svc.stats().trace_hash(),
-                "shape trajectory diverged at {workers} workers"
+                "shape trajectory diverged on repeat {repeat}"
             ),
         }
         let s = svc.stats();
@@ -511,7 +500,7 @@ struct Shapes {
 /// surges (a peak-multiplier sweep locating the rejection knee),
 /// correlated arrival batches and the adversarial cross-pod pattern,
 /// each against the nominal baseline on the same cluster and arrival
-/// rate. Every scenario replays at 1/2/8 workers digest-asserted.
+/// rate. Every scenario replays twice, digest-asserted.
 fn run_shapes(events_per_run: usize) -> Shapes {
     let (topo, routes) = shape_cluster();
     let run_cfg = |cfg: WorkloadStreamConfig| -> ShapeOutcome {
@@ -570,8 +559,8 @@ struct SwitchFailover {
 /// (so failure rejections are really accounted, not just defined),
 /// repair it wholesale, and require the drift detector plus forced
 /// migration passes to carry the tenants back to at least half their
-/// pre-failure mean networked rate. Replayed at 1, 2 and 8 sharded
-/// workers; the trajectories must bit-match.
+/// pre-failure mean networked rate. Replayed twice; the trajectories
+/// must bit-match.
 fn run_switch_failover() -> SwitchFailover {
     let topo = Arc::new(bench_tree());
     let routes = Arc::new(RouteTable::new(&topo));
@@ -581,8 +570,8 @@ fn run_switch_failover() -> SwitchFailover {
         .expect("the bench tree has core switches");
     let mut digest = None;
     let mut out = None;
-    for workers in [1usize, 2, 8] {
-        let mut cfg = service_config(PlacementPolicy::Greedy, workers);
+    for repeat in 0..2 {
+        let mut cfg = service_config(PlacementPolicy::Greedy);
         cfg.drift = DriftConfig { cadence: Some(5 * SECS), ..Default::default() };
         let mut svc = SchedulerBuilder::new(Arc::clone(&topo), Arc::clone(&routes))
             .config(cfg)
@@ -617,7 +606,7 @@ fn run_switch_failover() -> SwitchFailover {
             Some(d) => assert_eq!(
                 d,
                 svc.stats().trace_hash(),
-                "switch-failover trajectory diverged at {workers} workers"
+                "switch-failover trajectory diverged on repeat {repeat}"
             ),
         }
         let s = svc.stats();
@@ -635,8 +624,8 @@ fn run_switch_failover() -> SwitchFailover {
 
 /// Run `total` events (the first `warmup` untimed), timing the steady
 /// state and, for greedy runs, each arrival's placement latency.
-fn run(policy: PlacementPolicy, workers: usize, warmup: usize, total: usize) -> Run {
-    let svc = &mut build(policy, workers);
+fn run(policy: PlacementPolicy, warmup: usize, total: usize) -> Run {
+    let svc = &mut build(policy);
     let events: Vec<TenantEvent> = stream(7).take(total).collect();
     let mut latencies_us: Vec<f64> = Vec::new();
     for ev in &events[..warmup] {
@@ -704,11 +693,11 @@ fn measure_overhead(warmup: usize, total: usize) -> Overhead {
     let topo = Arc::new(bench_tree());
     let routes = Arc::new(RouteTable::new(&topo));
     let mut instr = SchedulerBuilder::new(topo, routes)
-        .config(service_config(PlacementPolicy::Greedy, 0))
+        .config(service_config(PlacementPolicy::Greedy))
         .seed(42)
         .metrics_registry(&registry)
         .build();
-    let mut bare = build(PlacementPolicy::Greedy, 0);
+    let mut bare = build(PlacementPolicy::Greedy);
     // Wall seconds to step `svc` through `evs`.
     let steps = |svc: &mut OnlineScheduler, evs: &[TenantEvent], instrumented: bool| {
         if instrumented {
@@ -755,18 +744,15 @@ fn main() {
     let warmup = 2_000usize;
     let total = 12_000usize;
 
-    // Determinism first: a repeat and a 2-worker sharded run must land
-    // on the measured run's exact trajectory.
-    let greedy = run(PlacementPolicy::Greedy, 0, warmup, total);
-    let repeat = run(PlacementPolicy::Greedy, 0, warmup, total);
+    // Determinism first: a repeat must land on the measured run's exact
+    // trajectory.
+    let greedy = run(PlacementPolicy::Greedy, warmup, total);
+    let repeat = run(PlacementPolicy::Greedy, warmup, total);
     assert_eq!(greedy.trace_hash, repeat.trace_hash, "repeat run diverged");
-    let sharded = run(PlacementPolicy::Greedy, 2, warmup, total);
-    assert_eq!(greedy.trace_hash, sharded.trace_hash, "worker count changed the trajectory");
 
-    // Keep the best throughput of the three identical-trajectory runs —
-    // same shielding from one-off scheduler noise as the other benches
-    // (on multi-core hardware the sharded run can be the fastest).
-    let best = [&greedy, &repeat, &sharded]
+    // Keep the best throughput of the two identical-trajectory runs —
+    // same shielding from one-off scheduler noise as the other benches.
+    let best = [&greedy, &repeat]
         .into_iter()
         .max_by(|a, b| a.events_per_sec.partial_cmp(&b.events_per_sec).expect("finite"))
         .expect("non-empty");
@@ -784,7 +770,7 @@ fn main() {
     let obs_overhead_max_pct = obs.pair_pcts.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let (trace_lines, exposition_bytes) = (obs.trace_lines, obs.exposition_bytes);
 
-    let random = run(PlacementPolicy::Random(9), 0, warmup, total);
+    let random = run(PlacementPolicy::Random(9), warmup, total);
     let greedy_rate = greedy.mean_rate_bps.expect("departures happened");
     let random_rate = random.mean_rate_bps.expect("departures happened");
     let rate_gain = greedy_rate / random_rate;
@@ -800,10 +786,7 @@ fn main() {
         greedy_rate / 1e6,
         random_rate / 1e6
     );
-    println!(
-        "determinism\ttrace {:#018x} (repeat + 2-worker sharded bit-identical)",
-        greedy.trace_hash
-    );
+    println!("determinism\ttrace {:#018x} (repeat bit-identical)", greedy.trace_hash);
     println!(
         "observability\t{:.0} events/s instrumented\toverhead {obs_overhead_pct:.1}% \
          [{obs_overhead_min_pct:.1}..{obs_overhead_max_pct:.1}] over {OBS_PAIRS} pairs\t\
@@ -822,7 +805,7 @@ fn main() {
     let sweep_total = 6_000usize;
     println!(
         "# host-count sweep: {sweep_total} events ({sweep_warmup} warm-up) per run, \
-         workers 1/2/8 per rung"
+         3 repeats per rung"
     );
     let sweep = run_sweep(sweep_max_hosts, sweep_warmup, sweep_total);
 
@@ -858,7 +841,7 @@ fn main() {
     assert!(knee > 1, "the sweep must find a rejection knee above nominal load");
 
     // Adversarial workload shapes: each generator knob against the
-    // nominal baseline, every run digest-asserted at 1/2/8 workers.
+    // nominal baseline, every run digest-asserted against a repeat.
     let shapes = run_shapes(2_000);
     println!(
         "shape\tnominal\t{} rejected\t{} queued",

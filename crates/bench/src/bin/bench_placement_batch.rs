@@ -14,24 +14,13 @@
 //!   index read per candidate.
 //!
 //! The two sides must agree **bit for bit** on every candidate (asserted
-//! per run). A [`ScenarioPool`] section additionally reports the parallel
-//! fan-out of whole candidate sweeps across hypothetical background
-//! scenarios — the pool sizes itself to the machine
-//! (`std::thread::available_parallelism`), each worker chains
-//! warm-started solves across its scenario sequence, and the honest
-//! worker count is recorded. One pool instance per side is reused across
-//! all best-of-3 rounds (the persistent worker threads spawn once, on
-//! the first sweep), so the timings measure steady-state dispatch, not
-//! thread spawn; on a single-core runner the pool-speedup
-//! comparison is skipped (`pool_speedup: null`) rather than reporting a
-//! meaningless ≈1× figure. Emits `BENCH_placement.json`; the acceptance
-//! target for the batched path is ≥3× (CI gates at a conservative 2×
-//! floor).
+//! per run). Emits `BENCH_placement.json`; the acceptance target for the
+//! batched path is ≥3× (CI gates at a conservative 2× floor).
 
 use std::time::Instant;
 
 use choreo_bench::JsonReport;
-use choreo_flowsim::{FlowArena, MaxMinSolver, ProbeBatch, ScenarioPool};
+use choreo_flowsim::{FlowArena, MaxMinSolver, ProbeBatch};
 use choreo_topology::route::splitmix64;
 use choreo_topology::{MultiRootedTreeSpec, RouteTable, Topology};
 
@@ -142,59 +131,6 @@ fn main() {
     let base_c = base_best as f64 / n_cand as f64;
     let batch_c = batch_best as f64 / n_cand as f64;
 
-    // Parallel scenario fan-out: score the full candidate sweep under 16
-    // hypothetical extra background flows, serial vs pooled. Each worker
-    // chains warm solves across its scenario sequence: the warm solve
-    // replays the freeze rounds the previous scenario's solve validated,
-    // and the probe batch rides the warm-maintained log.
-    let hypos: Vec<Vec<u32>> = (0..16u64)
-        .map(|i| w.flows[(splitmix64(i ^ 0xF00) % w.flows.len() as u64) as usize].clone())
-        .collect();
-    let sweep = |ctx: &mut choreo_flowsim::ScenarioCtx, hypo: &Vec<u32>| {
-        let bg = ctx.arena.add(hypo);
-        let mut batch = ProbeBatch::new();
-        for cand in &w.candidates {
-            batch.push(cand);
-        }
-        let mut out = Vec::new();
-        ctx.solve(&w.capacities);
-        ctx.solver.probe_batch(&w.capacities, &ctx.arena, &batch, &mut out);
-        ctx.arena.remove(bg);
-        out.iter().map(|r| r.to_bits()).fold(0u64, |acc, b| acc.wrapping_add(b))
-    };
-    // One pool per side, reused across every round: the worker threads
-    // spawn on the first `evaluate` and all later rounds ride the warm
-    // pool (`pool_reuse` below), so the timed figure is steady-state
-    // dispatch cost, not thread spawn.
-    let serial_pool = ScenarioPool::new(1);
-    let pooled_pool = ScenarioPool::default();
-    // The pool sizes itself to the machine; report the honest worker
-    // count, and skip the speedup comparison entirely on a single-core
-    // runner — a "parallel" run there measures nothing but noise.
-    let workers = pooled_pool.workers();
-    let mut serial_best = u128::MAX;
-    let mut pool_best = u128::MAX;
-    let mut serial_digest = None;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let serial = serial_pool.evaluate(&arena, &hypos, sweep);
-        serial_best = serial_best.min(t.elapsed().as_nanos());
-        if let Some(prev) = serial_digest.replace(serial.clone()) {
-            assert_eq!(prev, serial, "serial sweep must be deterministic across rounds");
-        }
-        if workers > 1 {
-            let t = Instant::now();
-            let pooled = pooled_pool.evaluate(&arena, &hypos, sweep);
-            pool_best = pool_best.min(t.elapsed().as_nanos());
-            assert_eq!(
-                serial_digest.as_ref().unwrap(),
-                &pooled,
-                "scenario pool must be bit-identical to serial"
-            );
-        }
-    }
-    let pool_speedup = (workers > 1).then(|| serial_best as f64 / pool_best as f64);
-
     println!(
         "# placement candidate scoring: {n_cand} candidates, {n_flows} flows, {} hosts",
         w.hosts
@@ -202,10 +138,6 @@ fn main() {
     println!("per-candidate\t{base_c:.0} ns/candidate");
     println!("batched\t\t{batch_c:.0} ns/candidate");
     println!("speedup\t\t{speedup:.2}x");
-    match pool_speedup {
-        Some(s) => println!("scenario pool\t{workers} workers\t{s:.2}x on 16 scenario sweeps"),
-        None => println!("scenario pool\t1 worker\tspeedup comparison skipped (single core)"),
-    }
     JsonReport::new("placement_candidate_batch")
         .int("hosts", w.hosts as u64)
         .int("flows", n_flows as u64)
@@ -214,9 +146,6 @@ fn main() {
         .num("batched_ns", batch_c, 1)
         .num("speedup", speedup, 3)
         .num("target_speedup", 3.0, 1)
-        .int("pool_workers", workers as u64)
-        .bool("pool_reuse", true)
-        .opt_num("pool_speedup", pool_speedup, 3)
         .bool("pass", speedup >= 3.0)
         .write("BENCH_placement.json");
 }

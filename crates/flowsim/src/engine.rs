@@ -12,7 +12,6 @@ use choreo_topology::route::splitmix64;
 use choreo_topology::{LinkDir, LinkSpec, Nanos, NodeId, PodPartition, RouteTable, Topology};
 
 use crate::fairshare::{FlowArena, FlowSlot, MaxMinSolver, ProbeBatch};
-use crate::shard::{ResourcePartition, ShardedSolver};
 
 /// Handle to a flow in a [`FlowSim`].
 ///
@@ -211,59 +210,8 @@ pub struct FlowSim {
     now: Nanos,
     dirty: bool,
     rng: StdRng,
-    /// Sharded solve path ([`FlowSim::set_solver_mode`]); `None` = warm
-    /// solves only.
-    sharded: Option<ShardedPath>,
     /// Cumulative solver-phase tallies ([`FlowSim::solve_stats`]).
     stats: SolveStats,
-}
-
-/// The sharded reallocation route: a pod partition of the topology plus
-/// the persistent sharded-solve driver.
-struct ShardedPath {
-    part: ResourcePartition,
-    solver: ShardedSolver,
-}
-
-/// How [`FlowSim`] re-solves the max-min allocation after churn
-/// ([`FlowSim::set_solver_mode`]).
-///
-/// The mode is a pure wall-clock knob: warm and sharded solves are
-/// bit-identical, so switching modes never changes a trajectory.
-// The variants differ hugely in size because `Sharded` can carry a
-// whole solver pool in the hand-off path; the enum only ever exists as
-// a transient argument/return value, never stored in bulk, so boxing
-// the pool would buy nothing but an extra indirection at every attach.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Default)]
-pub enum SolverMode {
-    /// Warm-started delta solves on the caller thread (the default).
-    #[default]
-    Warm,
-    /// Pod-sharded solves fanned across worker threads, reconciled on
-    /// the caller thread.
-    Sharded {
-        /// Worker threads (`0` = auto, one per core). Ignored when
-        /// `pool` is attached — the pool carries its own worker count.
-        workers: usize,
-        /// An existing solver to reuse — e.g. the one returned by a
-        /// previous [`FlowSim::set_solver_mode`] call on another
-        /// simulator — so its spawned worker pool and warm buffers
-        /// survive the hand-off. `None` builds a fresh solver.
-        pool: Option<ShardedSolver>,
-    },
-}
-
-impl SolverMode {
-    /// A sharded mode with a fresh solver over `workers` threads.
-    pub fn sharded(workers: usize) -> SolverMode {
-        SolverMode::Sharded { workers, pool: None }
-    }
-
-    /// True for [`SolverMode::Sharded`].
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, SolverMode::Sharded { .. })
-    }
 }
 
 /// Cumulative solver-phase tallies of one [`FlowSim`]
@@ -280,20 +228,19 @@ pub struct SolveStats {
     pub cold_solves: u64,
     /// Reallocations that warm-started off the previous solve's log.
     pub warm_solves: u64,
-    /// Reallocations routed through the pod-sharded driver.
+    /// Always 0: reallocation runs warm or cold solves only. Kept only
+    /// so `bench_service/` builds; remove with the benchmark's next
+    /// change.
     pub sharded_solves: u64,
     /// Freeze rounds run with the full cold-solve arithmetic, summed
     /// over all reallocations (every round of a cold solve; only the
-    /// perturbed rounds of a warm or sharded one).
+    /// perturbed rounds of a warm one).
     pub live_rounds: u64,
     /// Freeze rounds replayed verbatim from a previous log.
     pub replayed_rounds: u64,
     /// Dirty-window sizes (resources perturbed since the previous
     /// solve), summed over all reallocations.
     pub dirty_resources: u64,
-    /// Dirty shards re-solved by sharded reallocations (their fan-out
-    /// widths), summed.
-    pub shard_fanout: u64,
     /// [`FlowSim::probe_rates`] batches evaluated.
     pub probe_batches: u64,
     /// What-if candidates rated (batched and single-probe).
@@ -354,55 +301,8 @@ impl FlowSim {
             now: 0,
             dirty: false,
             rng: StdRng::seed_from_u64(seed),
-            sharded: None,
             stats: SolveStats::default(),
         }
-    }
-
-    /// Select how reallocation solves run — the one switch that replaces
-    /// the old `enable_sharded` / `enable_sharded_with` /
-    /// `take_sharded_solver` / `disable_sharded` quartet.
-    ///
-    /// Returns the **previous** mode, carrying the previously attached
-    /// [`ShardedSolver`] (with its spawned worker pool and warm buffers)
-    /// in [`SolverMode::Sharded::pool`] so it can be handed to another
-    /// simulator:
-    ///
-    /// ```ignore
-    /// let prev = sim_a.set_solver_mode(SolverMode::Warm); // detach
-    /// sim_b.set_solver_mode(prev);                        // re-attach
-    /// ```
-    ///
-    /// Switching to [`SolverMode::Sharded`] partitions the topology into
-    /// pods ([`ResourcePartition::for_topology`]) and fans shard-local
-    /// solves across the worker threads (`workers == 0` = auto, one per
-    /// core; an attached `pool` supersedes `workers` and is
-    /// [`reset`](ShardedSolver::reset) to this simulation's arena).
-    /// Sharded and warm solves are **bit-identical**, so the mode never
-    /// changes the simulation trajectory — only wall-clock. When the
-    /// topology has no real pod structure — fewer than two pods owning
-    /// intra-pod links ([`ResourcePartition::link_pods`]; a dumbbell's
-    /// singleton-host pods carry no local flows) — the event loop keeps
-    /// using warm/cold solves ([`FlowSim::sharded_pods`] reports the
-    /// partition found). Hoses registered later land on the spine shard
-    /// and their flows are reconciled as boundary flows.
-    pub fn set_solver_mode(&mut self, mode: SolverMode) -> SolverMode {
-        let prev = match self.sharded.take() {
-            Some(sh) => SolverMode::Sharded { workers: sh.solver.workers(), pool: Some(sh.solver) },
-            None => SolverMode::Warm,
-        };
-        if let SolverMode::Sharded { workers, pool } = mode {
-            let mut solver = pool.unwrap_or_else(|| ShardedSolver::new(workers));
-            solver.reset();
-            let part = ResourcePartition::for_topology(&self.topo);
-            self.sharded = Some(ShardedPath { part, solver });
-        }
-        prev
-    }
-
-    /// Pods of the active sharded path (`None` when sharding is off).
-    pub fn sharded_pods(&self) -> Option<usize> {
-        self.sharded.as_ref().map(|s| s.part.n_pods())
     }
 
     /// Current simulated time.
@@ -436,8 +336,8 @@ impl FlowSim {
     /// Change one solver resource's capacity at runtime (bits/s, > 0).
     ///
     /// The resource is marked in the arena's dirty window
-    /// ([`FlowArena::touch_resource`]), so the next reallocation —
-    /// warm or sharded — re-solves **bit-identical** to a cold solve at
+    /// ([`FlowArena::touch_resource`]), so the next (warm) reallocation
+    /// re-solves **bit-identical** to a cold solve at
     /// the new capacity: link failure is a cut to [`FAILED_LINK_BPS`],
     /// recovery a restore, degradation a fractional cut. A no-op when
     /// the capacity is already exactly `bits_per_sec`.
@@ -750,7 +650,7 @@ impl FlowSim {
     /// tenant's transfers become visible to the very next probe without
     /// an event-heap round trip, and a tenant's whole flow set lands in
     /// one arena dirty window, so the next reallocation is a single warm
-    /// (or sharded) delta solve covering all of them.
+    /// delta solve covering all of them.
     pub fn start_flow_now(
         &mut self,
         src: NodeId,
@@ -772,8 +672,8 @@ impl FlowSim {
     /// Stop a set of flows **immediately** (tenant teardown): every
     /// pending or active flow in `keys` is marked done at the current
     /// time and evicted from the arena, accumulating one combined dirty
-    /// window — the next reallocation is a single warm (or sharded)
-    /// delta solve over the whole departure instead of one per flow.
+    /// window — the next reallocation is a single warm delta solve over
+    /// the whole departure instead of one per flow.
     pub fn stop_flows_now(&mut self, keys: &[FlowKey]) {
         for &key in keys {
             let i = self.idx(key);
@@ -978,7 +878,7 @@ impl FlowSim {
     }
 
     /// Cumulative solver-phase tallies since construction: solve counts
-    /// per path (cold / warm / sharded), the replayed-vs-live round mix,
+    /// per path (cold / warm), the replayed-vs-live round mix,
     /// dirty-window sizes and probe volume. Purely observational — see
     /// [`SolveStats`].
     pub fn solve_stats(&self) -> SolveStats {
@@ -1003,44 +903,22 @@ impl FlowSim {
             return;
         }
         self.dirty = false;
-        // Sharded path when enabled and the topology has real pod
-        // structure — at least two pods that own intra-pod links (a
-        // dumbbell's singleton-host pods carry no local flows, so
-        // sharding it would make every churn event a full live
-        // reconciliation); otherwise warm-start off the previous solve's
-        // log. Both are bit-identical to a cold solve and both leave the
-        // log hot, so the routes interchange freely event to event.
-        // Everything below the solve dispatch is observational: the span
+        // Warm-start off the previous solve's log (a cold solve when
+        // there is none); bit-identical to a cold solve either way, and
+        // the log stays hot for the next event's solve and probes.
+        // Everything below the solve is observational: the span
         // timers/values and `SolveStats` adds read already-computed
         // state and feed nothing back, so instrumented and bare runs
         // follow bit-identical trajectories.
         let dirty_window = self.arena.dirty_len() as u64;
-        match &mut self.sharded {
-            Some(sh) if sh.part.link_pods() >= 2 => {
-                let timer = span::start("solve_sharded");
-                sh.solver.solve_sharded(
-                    &self.capacities,
-                    &mut self.arena,
-                    &sh.part,
-                    &mut self.solver,
-                    &mut self.rates_scratch,
-                );
-                drop(timer);
-                self.stats.sharded_solves += 1;
-                self.stats.shard_fanout += sh.solver.last_dirty_shards() as u64;
-                span::value("shard_fanout", sh.solver.last_dirty_shards() as f64);
-            }
-            _ => {
-                let cold = self.solver.will_solve_cold(&self.arena);
-                let timer = span::start(if cold { "solve_cold" } else { "solve_warm" });
-                self.solver.solve_warm(&self.capacities, &mut self.arena, &mut self.rates_scratch);
-                drop(timer);
-                if cold {
-                    self.stats.cold_solves += 1;
-                } else {
-                    self.stats.warm_solves += 1;
-                }
-            }
+        let cold = self.solver.will_solve_cold(&self.arena);
+        let timer = span::start(if cold { "solve_cold" } else { "solve_warm" });
+        self.solver.solve_warm(&self.capacities, &mut self.arena, &mut self.rates_scratch);
+        drop(timer);
+        if cold {
+            self.stats.cold_solves += 1;
+        } else {
+            self.stats.warm_solves += 1;
         }
         self.stats.dirty_resources += dirty_window;
         self.stats.live_rounds += self.solver.last_live_rounds();

@@ -113,20 +113,6 @@ pub struct FlowArena {
     dirty: Vec<u32>,
     /// Per-resource membership flag for `dirty`.
     dirty_mark: Vec<bool>,
-    /// Slots added or removed in the same window (deduplicated via
-    /// `dirty_slot_mark`) — the flow-level view of the churn, consumed by
-    /// the sharded solve's incremental split alongside `dirty`.
-    dirty_slots: Vec<u32>,
-    /// Per-slot membership flag for `dirty_slots`.
-    dirty_slot_mark: Vec<bool>,
-    /// Resources whose **capacity** changed in the same window
-    /// ([`FlowArena::touch_resource`]) — a subset of `dirty` kept
-    /// separately so the sharded split can propagate capacity changes to
-    /// the owning shards without treating every flow-churned resource as
-    /// capacity-churned.
-    dirty_caps: Vec<u32>,
-    /// Per-resource membership flag for `dirty_caps`.
-    dirty_cap_mark: Vec<bool>,
 }
 
 impl FlowArena {
@@ -136,7 +122,6 @@ impl FlowArena {
             rev: vec![Vec::new(); n_resources],
             users_cnt: vec![0; n_resources],
             dirty_mark: vec![false; n_resources],
-            dirty_cap_mark: vec![false; n_resources],
             ..FlowArena::default()
         }
     }
@@ -152,7 +137,6 @@ impl FlowArena {
             self.rev.resize_with(n_resources, Vec::new);
             self.users_cnt.resize(n_resources, 0);
             self.dirty_mark.resize(n_resources, false);
-            self.dirty_cap_mark.resize(n_resources, false);
             self.generation = self.generation.wrapping_add(1);
         }
     }
@@ -243,7 +227,6 @@ impl FlowArena {
         self.live[f] = true;
         self.n_live += 1;
         self.generation = self.generation.wrapping_add(1);
-        self.mark_dirty_slot(f);
         for (k, &r) in resources.iter().enumerate() {
             self.pool[s + k] = r;
             self.rev_pos[s + k] = self.rev[r as usize].len() as u32;
@@ -276,7 +259,6 @@ impl FlowArena {
         self.live[f] = false;
         self.n_live -= 1;
         self.generation = self.generation.wrapping_add(1);
-        self.mark_dirty_slot(f);
         self.free_slots.push(f as u32);
     }
 
@@ -290,62 +272,28 @@ impl FlowArena {
         }
     }
 
-    /// Record that `f`'s slot changed liveness or contents (idempotent
-    /// between clears).
-    #[inline]
-    fn mark_dirty_slot(&mut self, f: usize) {
-        if self.dirty_slot_mark.len() <= f {
-            self.dirty_slot_mark.resize(f + 1, false);
-        }
-        if !self.dirty_slot_mark[f] {
-            self.dirty_slot_mark[f] = true;
-            self.dirty_slots.push(f as u32);
-        }
-    }
-
     /// Record an **external** perturbation of resource `r` — a capacity
     /// change — in the same dirty window flow churn uses.
     ///
     /// The solver rebuilds per-resource slack from the caller's
     /// `capacities` slice on every solve, so a capacity change needs no
     /// state transfer: seeding `r` as perturbed is enough for
-    /// [`MaxMinSolver::solve_warm`] (and the sharded reconciliation) to
-    /// re-validate every logged round `r` participates in and fall back
-    /// to live filling from the first round the new capacity actually
-    /// changes — bit-identical to a cold solve at the new capacity.
+    /// [`MaxMinSolver::solve_warm`] to re-validate every logged round `r`
+    /// participates in and fall back to live filling from the first
+    /// round the new capacity actually changes — bit-identical to a cold
+    /// solve at the new capacity.
     /// Bumps the generation, so probe logs recorded against the old
     /// capacity stop matching ([`MaxMinSolver::log_matches`]) and are
     /// re-recorded before the next what-if.
     pub fn touch_resource(&mut self, r: u32) {
         assert!((r as usize) < self.rev.len(), "touch: bad resource {r}");
         self.mark_dirty(r);
-        if !self.dirty_cap_mark[r as usize] {
-            self.dirty_cap_mark[r as usize] = true;
-            self.dirty_caps.push(r);
-        }
         self.generation = self.generation.wrapping_add(1);
-    }
-
-    /// Resources announced through [`FlowArena::touch_resource`] since the
-    /// dirty window was last closed — the capacity-churn subset of
-    /// [`FlowArena::dirty_resources`], consumed by the sharded split to
-    /// mark the owning shards dirty.
-    pub fn dirty_capacities(&self) -> &[u32] {
-        &self.dirty_caps
     }
 
     /// Dirty set size (tests / diagnostics).
     pub fn dirty_len(&self) -> usize {
         self.dirty.len()
-    }
-
-    /// Slots added or removed since the dirty window was last closed, in
-    /// first-touch order — the flow-level twin of
-    /// [`FlowArena::dirty_resources`], sharing its window (one clear
-    /// resets both). A recycled slot (removed then re-added) appears
-    /// once; consumers re-read its current state.
-    pub fn dirty_slots(&self) -> &[u32] {
-        &self.dirty_slots
     }
 
     /// Resources mutated since the dirty window was last closed (warm
@@ -369,14 +317,6 @@ impl FlowArena {
             self.dirty_mark[r as usize] = false;
         }
         self.dirty.clear();
-        for &f in &self.dirty_slots {
-            self.dirty_slot_mark[f as usize] = false;
-        }
-        self.dirty_slots.clear();
-        for &r in &self.dirty_caps {
-            self.dirty_cap_mark[r as usize] = false;
-        }
-        self.dirty_caps.clear();
     }
 
     /// Hand slot `f`'s block (if any) to the free lists.
@@ -533,49 +473,45 @@ impl ProbeBatch {
 }
 
 /// Round log of one progressive-filling solve — the input of warm
-/// solves, of the sharded merge, and of the probes' saturation index.
+/// solves and of the probes' saturation index.
 ///
 /// Per freeze round it records the popped bottleneck key (version bits
 /// zeroed), the freeze level, the per-resource `(id, frozen-count)`
 /// deltas the round applied, and the slots it froze.
-///
-/// Crate-visible (fields included) so the sharded solve in
-/// [`crate::shard`] can merge per-shard logs into one global-order log;
-/// everything else should go through [`MaxMinSolver`].
 #[derive(Debug, Default)]
-pub(crate) struct SolveLog {
+struct SolveLog {
     /// Per round: version-stripped bottleneck [`ShareKey`] at pop time.
     /// **Not monotone.** Levels rise in exact arithmetic, but a share
     /// recomputed after a round, `(slack − d × level) / users`, can round
     /// 1–2 ulp below the level that round froze at. So a later key can
     /// sit just below an earlier one at equal levels, e.g.
     /// `(1.4285714285714287e8, r107)` then `(1.4285714285714284e8, r152)`.
-    pub(crate) keys: Vec<u128>,
+    keys: Vec<u128>,
     /// Per round: the freeze level (the key's share, clamped to ≥ 0).
-    pub(crate) levels: Vec<f64>,
+    levels: Vec<f64>,
     /// Per round: end offset (exclusive) into the `touched_*` arrays.
-    pub(crate) round_end: Vec<u32>,
+    round_end: Vec<u32>,
     /// Flattened `(resource, flows frozen crossing it)` deltas, by round.
-    pub(crate) touched_res: Vec<u32>,
-    pub(crate) touched_delta: Vec<u32>,
+    touched_res: Vec<u32>,
+    touched_delta: Vec<u32>,
     /// Flattened arena slots frozen per round (warm replay walks these
     /// sequentially instead of chasing the reverse index).
-    pub(crate) freeze_slots: Vec<u32>,
+    freeze_slots: Vec<u32>,
     /// Per round: end offset (exclusive) into `freeze_slots`.
-    pub(crate) freeze_end: Vec<u32>,
+    freeze_end: Vec<u32>,
     /// Arena generation the log was recorded against.
-    pub(crate) generation: u64,
+    generation: u64,
     /// Resource-space size at record time.
-    pub(crate) n_resources: u32,
+    n_resources: u32,
     /// False until the first logged solve, and after a plain `solve`.
-    pub(crate) valid: bool,
+    valid: bool,
     /// Whether the owning solver's [`ProbeIndex`] describes this log.
     /// Set by the first probe after the log was recorded.
-    pub(crate) indexed: bool,
+    indexed: bool,
 }
 
 impl SolveLog {
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.keys.clear();
         self.levels.clear();
         self.round_end.clear();
@@ -615,15 +551,23 @@ impl SolveLog {
 /// can land on a later round than the first that fires. The search
 /// bisects the keys' running maximum instead and, where that lands
 /// before the resource's current state began, scans forward.
+///
+/// A resource the log never touches (an idle link: most of a large
+/// cluster) keeps its base state through every round. Its entry is left
+/// [`UNTOUCHED`] and computed by the probe that crosses it, from the same
+/// state and with the same search. So a build costs a bisection per
+/// *touched* resource, and per-event work does not grow with idle links.
 #[derive(Debug, Default)]
 struct ProbeIndex {
     /// Per resource: `k_r (32 bits) | share bits (64) | resource (32)`,
-    /// so one integer `min` orders by `(k_r, key_r)`.
+    /// so one integer `min` orders by `(k_r, key_r)`; [`UNTOUCHED`] for a
+    /// resource the log never touches.
     entry: Vec<u128>,
     /// Running maximum of the log's keys.
     key_max: Vec<u128>,
-    /// Build scratch: per-resource slack and base users, advanced
-    /// through the log's deltas in round order.
+    /// Per-resource slack and base users, advanced through the log's
+    /// deltas in round order; an untouched resource's stay at its base
+    /// state, which probes read.
     slack: Vec<f64>,
     users: Vec<u32>,
     /// Build scratch: the round since which the resource's state has
@@ -633,6 +577,10 @@ struct ProbeIndex {
 
 /// `ProbeIndex::since` sentinel: the resource's entry is final.
 const SETTLED: u32 = u32::MAX;
+
+/// `ProbeIndex::entry` sentinel: the log never touches the resource. No
+/// real entry reaches it: that would take a NaN share.
+const UNTOUCHED: u128 = u128::MAX;
 
 impl ProbeIndex {
     /// Index `log`, recorded against `capacities` and an arena with the
@@ -654,7 +602,7 @@ impl ProbeIndex {
         self.since.clear();
         self.since.resize(nr, 0);
         self.entry.clear();
-        self.entry.resize(nr, 0);
+        self.entry.resize(nr, UNTOUCHED);
         let mut t0 = 0usize;
         for k in 0..rounds {
             let t1 = log.round_end[k] as usize;
@@ -680,7 +628,8 @@ impl ProbeIndex {
             t0 = t1;
         }
         for r in 0..nr {
-            if self.since[r] != SETTLED {
+            // `since` is 0 only for a resource no round touched.
+            if self.since[r] != SETTLED && self.since[r] != 0 {
                 let key = self.plus_one_key(r);
                 let j = self.first_fire(&log.keys, self.since[r] as usize, rounds, key);
                 self.entry[r] = pack_entry(j.unwrap_or(rounds), key);
@@ -713,9 +662,11 @@ impl ProbeIndex {
     /// log would have visited to reach it: the fire round + 1, or every
     /// round if none fires. With no round firing, every base flow froze
     /// without saturating the path, and the candidate's rate is the
-    /// smallest share left on it, which is the same minimum.
+    /// smallest share left on it, which is the same minimum. `keys` are
+    /// the indexed log's keys.
     #[inline]
-    fn rate(&self, s: &[u32], rounds: usize) -> (f64, u64) {
+    fn rate(&self, s: &[u32], keys: &[u128]) -> (f64, u64) {
+        let rounds = keys.len();
         assert!(!s.is_empty(), "probe flow traverses no resources");
         debug_assert!(
             s.iter().enumerate().all(|(i, r)| !s[..i].contains(r)),
@@ -724,7 +675,12 @@ impl ProbeIndex {
         let mut best = u128::MAX;
         for &r in s {
             assert!((r as usize) < self.entry.len(), "probe: bad resource {r}");
-            best = best.min(self.entry[r as usize]);
+            let mut e = self.entry[r as usize];
+            if e == UNTOUCHED {
+                let key = self.plus_one_key(r as usize);
+                e = pack_entry(self.first_fire(keys, 0, rounds, key).unwrap_or(rounds), key);
+            }
+            best = best.min(e);
         }
         let fired = (best >> 96) as usize;
         (f64::from_bits((best >> 32) as u64), (fired + 1).min(rounds) as u64)
@@ -786,9 +742,6 @@ pub struct MaxMinSolver {
     /// Saturation index of `log`, built by the first probe after the
     /// log was recorded (valid while `log.indexed`).
     index: ProbeIndex,
-    /// Warm-solve scratch: copy of the arena's dirty window, taken before
-    /// the walk closes it (the walk borrows the arena mutably).
-    seed_buf: Vec<u32>,
     /// Observability: freeze rounds the last solve ran with the full
     /// cold-solve arithmetic (every round of a cold solve; the perturbed
     /// rounds of a warm one). Never read by the solve itself.
@@ -987,65 +940,8 @@ impl MaxMinSolver {
         }
         // The old log is read-only input; the new one is re-recorded into
         // the spare buffers and swapped in (both stay warm across calls).
-        // The perturbation seed is the arena's dirty window, copied out
-        // before the walk closes it.
         let old = std::mem::take(&mut self.log);
         std::mem::swap(&mut self.log, &mut self.log_spare);
-        let mut seed = std::mem::take(&mut self.seed_buf);
-        seed.clear();
-        seed.extend_from_slice(arena.dirty_resources());
-        self.replay_walk(capacities, arena, rates, &old, &seed);
-        self.seed_buf = seed;
-        self.log_spare = old;
-    }
-
-    /// The warm-solve engine behind [`MaxMinSolver::solve_warm`] and the
-    /// sharded solve's reconciliation pass ([`crate::shard`]): replay
-    /// `old` — the freeze-round log of a solve of some *subset* of the
-    /// arena's current flows — interleaved with live rounds for the
-    /// perturbed cascade, recording the result into `self.log`.
-    ///
-    /// `seed` must cover every resource whose `(slack, users)` state may
-    /// deviate from `old`'s trajectory: for a warm solve, the resources
-    /// touched by arena mutations since `old` was recorded; for the
-    /// sharded reconciliation, the resources crossed by the boundary
-    /// flows `old`'s shard-local solves never saw. Over-approximation is
-    /// always safe. `old.freeze_slots` must name live, distinct slots of
-    /// `arena` (the caller remaps shard-local slots before merging).
-    ///
-    /// Consumes the arena's dirty window (it re-opens as this log is
-    /// recorded) and leaves `self.log` valid for the current arena, so
-    /// probes and further warm solves chain off it.
-    pub(crate) fn replay_walk(
-        &mut self,
-        capacities: &[f64],
-        arena: &mut FlowArena,
-        rates: &mut Vec<f64>,
-        old: &SolveLog,
-        seed: &[u32],
-    ) {
-        let remaining = self.walk_init(capacities, arena, rates, seed);
-        self.walk_rounds(arena, rates, old, remaining);
-    }
-
-    /// First half of [`MaxMinSolver::replay_walk`]: rebuild the cold-solve
-    /// state (rates/frozen/slack/users), seed the perturbation set, stamp
-    /// the new log header and consume the arena's dirty window. Returns
-    /// the number of unfrozen flows for [`MaxMinSolver::walk_rounds`].
-    ///
-    /// Split out so the sharded solve can run this `O(resources)` setup
-    /// — and then merge shard logs — while its worker pool is still
-    /// solving shards: everything here is independent of `old`, which
-    /// does not need to exist yet.
-    pub(crate) fn walk_init(
-        &mut self,
-        capacities: &[f64],
-        arena: &mut FlowArena,
-        rates: &mut Vec<f64>,
-        seed: &[u32],
-    ) -> usize {
-        let nr = arena.n_resources();
-        assert!(capacities.len() >= nr, "capacities shorter than resource space");
         // Cold-solve state init — the hybrid walk must evolve the exact
         // state a from-scratch solve would, or bit-identity is lost.
         let nslots = arena.slot_bound();
@@ -1068,7 +964,7 @@ impl MaxMinSolver {
         self.last_replayed_rounds = 0;
         self.perturbed.clear();
         self.perturbed.resize(nr, false);
-        let remaining = arena.n_flows();
+        let mut remaining = arena.n_flows();
 
         self.log.clear();
         self.log.generation = arena.generation();
@@ -1077,8 +973,8 @@ impl MaxMinSolver {
 
         // Reset the indexed live heap (left-over entries from the last
         // warm solve release their positions) and seed the perturbation
-        // set, then close the arena's dirty window — it re-opens exactly
-        // as this log is recorded.
+        // set from the arena's dirty window, then close the window — it
+        // re-opens exactly as this log is recorded.
         for &k in &self.wheap {
             self.wpos[ShareKey(k).res() as usize] = WPOS_NONE;
         }
@@ -1086,7 +982,7 @@ impl MaxMinSolver {
         if self.wpos.len() < nr {
             self.wpos.resize(nr, WPOS_NONE);
         }
-        for &r in seed {
+        for &r in arena.dirty_resources() {
             let ri = r as usize;
             if !self.perturbed[ri] {
                 self.perturbed[ri] = true;
@@ -1097,21 +993,8 @@ impl MaxMinSolver {
             }
         }
         arena.clear_dirty();
-        remaining
-    }
 
-    /// Second half of [`MaxMinSolver::replay_walk`]: the hybrid
-    /// replayed/live round loop over `old`, freezing the `remaining`
-    /// flows [`MaxMinSolver::walk_init`] counted. `old` must describe a
-    /// solve of a subset of the arena's current flows whose deviations
-    /// are covered by the seed already planted by `walk_init`.
-    pub(crate) fn walk_rounds(
-        &mut self,
-        arena: &FlowArena,
-        rates: &mut [f64],
-        old: &SolveLog,
-        mut remaining: usize,
-    ) {
+        // The hybrid replayed/live round loop over `old`.
         let rounds = old.keys.len();
         let mut kcur = 0usize;
         let mut t0 = 0usize;
@@ -1302,11 +1185,7 @@ impl MaxMinSolver {
                 }
             }
         }
-    }
-
-    /// The freeze-round log of the last logged/warm solve (sharded merge).
-    pub(crate) fn solve_log(&self) -> &SolveLog {
-        &self.log
+        self.log_spare = old;
     }
 
     /// Would [`MaxMinSolver::solve_warm`] on `arena` fall back to a cold
@@ -1319,7 +1198,7 @@ impl MaxMinSolver {
 
     /// Freeze rounds the last solve ran with the full cold-solve
     /// arithmetic (all of them for a cold solve; only the perturbed ones
-    /// for a warm or sharded-reconciliation solve). Diagnostics only.
+    /// for a warm solve). Diagnostics only.
     pub fn last_live_rounds(&self) -> u64 {
         self.last_live_rounds
     }
@@ -1504,9 +1383,9 @@ impl MaxMinSolver {
     /// if it joined the flow set last solved by
     /// [`MaxMinSolver::solve_logged`] — **bit-identical** to adding the
     /// flow to `arena`, solving from scratch, and reading its rate, but in
-    /// `O(path)` from the log's saturation index. The first probe after
-    /// the log was recorded builds the index, in about
-    /// `O((logged deltas + resources) · log rounds)`.
+    /// `O(path · log rounds)` at most from the log's saturation index. The
+    /// first probe after the log was recorded builds the index, in about
+    /// `O(logged deltas · log rounds + resources)`.
     ///
     /// The committed solution is untouched: neither `arena` nor the base
     /// rates change (the only writes are to internal scratch), so probing
@@ -1521,7 +1400,7 @@ impl MaxMinSolver {
             "probe without a current logged solve (call solve_logged first)"
         );
         self.ensure_index(capacities, arena);
-        let (rate, rounds) = self.index.rate(resources, self.log.keys.len());
+        let (rate, rounds) = self.index.rate(resources, &self.log.keys);
         self.last_probe_replay_rounds = rounds;
         rate
     }
@@ -1542,12 +1421,11 @@ impl MaxMinSolver {
             "probe_batch without a current logged solve (call solve_logged first)"
         );
         self.ensure_index(capacities, arena);
-        let log_rounds = self.log.keys.len();
         self.last_probe_replay_rounds = 0;
         out.clear();
         out.reserve(batch.len());
         for i in 0..batch.len() {
-            let (rate, rounds) = self.index.rate(batch.resources(i), log_rounds);
+            let (rate, rounds) = self.index.rate(batch.resources(i), &self.log.keys);
             self.last_probe_replay_rounds += rounds;
             out.push(rate);
         }
@@ -2085,9 +1963,10 @@ mod tests {
         let mut rates = Vec::new();
         solver.solve_logged(&caps, &arena, &mut rates);
         assert!(solver.log_matches(&arena));
+        arena.clear_dirty();
         arena.touch_resource(0);
         assert!(!solver.log_matches(&arena), "stale capacities must not serve probes");
-        assert_eq!(arena.dirty_capacities(), &[0], "capacity touch recorded");
+        assert_eq!(arena.dirty_resources(), &[0], "capacity touch recorded");
     }
 
     #[test]

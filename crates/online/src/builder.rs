@@ -2,7 +2,7 @@
 //!
 //! [`SchedulerBuilder`] replaces the old positional
 //! `OnlineScheduler::new(topo, routes, cfg, seed)` constructor: the
-//! growing option set (metrics registry, solver mode, trace capacity)
+//! growing option set (metrics registry, trace capacity)
 //! made positional arguments unreadable at call sites and impossible to
 //! extend without breaking every caller. Topology and routes are the
 //! only required inputs; everything else has the same defaults the old
@@ -10,7 +10,6 @@
 
 use std::sync::Arc;
 
-use choreo_flowsim::SolverMode;
 use choreo_metrics::Registry;
 use choreo_topology::{RouteTable, Topology};
 
@@ -39,14 +38,12 @@ pub struct SchedulerBuilder {
     pub(crate) cfg: OnlineConfig,
     pub(crate) seed: u64,
     pub(crate) metrics: ServiceMetrics,
-    pub(crate) solver_mode: Option<SolverMode>,
     pub(crate) trace_capacity: usize,
 }
 
 impl SchedulerBuilder {
-    /// Builder over `topo` with one VM per host, default config, seed 0,
-    /// detached metrics and a solver mode derived from
-    /// [`OnlineConfig::workers`].
+    /// Builder over `topo` with one VM per host, default config, seed 0
+    /// and detached metrics.
     pub fn new(topo: Arc<Topology>, routes: Arc<RouteTable>) -> SchedulerBuilder {
         SchedulerBuilder {
             topo,
@@ -54,7 +51,6 @@ impl SchedulerBuilder {
             cfg: OnlineConfig::default(),
             seed: 0,
             metrics: ServiceMetrics::detached(),
-            solver_mode: None,
             trace_capacity: 256,
         }
     }
@@ -77,16 +73,6 @@ impl SchedulerBuilder {
     /// handles.
     pub fn metrics_registry(mut self, registry: &Registry) -> SchedulerBuilder {
         self.metrics = ServiceMetrics::registered(registry);
-        self
-    }
-
-    /// Route reallocation through an explicit [`SolverMode`] — including
-    /// handing over a warmed-up [`choreo_flowsim::ShardedSolver`] pool
-    /// via [`SolverMode::Sharded`]. Defaults to
-    /// `SolverMode::sharded(cfg.workers)` when `cfg.workers > 0`, warm
-    /// solves otherwise.
-    pub fn solver_mode(mut self, mode: SolverMode) -> SchedulerBuilder {
-        self.solver_mode = Some(mode);
         self
     }
 

@@ -105,9 +105,9 @@ pub struct OnlineConfig {
     pub queue_capacity: usize,
     /// Admission placer.
     pub policy: PlacementPolicy,
-    /// Worker threads for the sharded solve path (`0` = warm solves
-    /// only). Sharded and warm solves are bit-identical, so this changes
-    /// wall-clock only, never the trajectory.
+    /// Has no effect: reallocation always runs warm solves on the
+    /// caller thread. Kept only so `bench_service/` builds; remove with
+    /// the benchmark's next change.
     pub workers: usize,
     /// Background migration planner knobs.
     pub migration: MigrationConfig,

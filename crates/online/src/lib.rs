@@ -60,7 +60,7 @@
 //!
 //! 1. **inject** — the event cuts or restores capacity in the arena's
 //!    dirty window; the next reallocation re-solves bit-identical to a
-//!    cold solve at the new capacities, for any worker count;
+//!    cold solve at the new capacities;
 //! 2. **detect** — a re-measurement cadence ([`DriftConfig`]) refreshes
 //!    every running tenant's service score into a
 //!    [`choreo_measure::stability::StabilitySeries`]; an
@@ -76,10 +76,8 @@
 //!
 //! Whole service runs are **reproducible bit-for-bit**: the same event
 //! stream, seed and config give the same trajectory digest
-//! ([`ServiceStats::trace_hash`]) for any solver worker count, because
-//! warm and sharded solves are bit-identical — and network events are
-//! digested like any other decision, so fault-laden runs replay
-//! exactly. `crates/service` wraps this scheduler in a networked
+//! ([`ServiceStats::trace_hash`]) — and network events are digested
+//! like any other decision, so fault-laden runs replay exactly. `crates/service` wraps this scheduler in a networked
 //! request loop and re-asserts the same digest equality through its
 //! simulated transport. `bench_online` measures the service at 10k+
 //! tenant events/sec on a 128-host topology and compares mean tenant

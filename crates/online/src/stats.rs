@@ -318,7 +318,7 @@ impl JsonlMirror {
 /// decision the service makes (admissions with their placements, queue
 /// verdicts, migrations, departure rates). Two runs with equal digests
 /// made bit-identical decisions — the property the determinism suite and
-/// `bench_online` check across repeats and worker counts.
+/// `bench_online` check across repeats.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
     /// Tenant events consumed.

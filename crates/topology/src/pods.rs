@@ -6,7 +6,8 @@
 //! the aggregation↔core tier stitches pods together. Flows between hosts
 //! of the same pod never leave it, so the links of distinct pods form
 //! independent capacity subproblems between the rare cross-pod
-//! interactions — the locality the sharded fair-share solver exploits.
+//! interactions — the locality the per-pod capacity-lost gauges of the
+//! online scheduler report on.
 //!
 //! [`PodPartition::of`] derives the structure from an arbitrary
 //! [`Topology`] without assuming a generator:
@@ -104,22 +105,6 @@ impl PodPartition {
             (Some(a), Some(b)) if a == b => Some(a),
             _ => None,
         }
-    }
-
-    /// Number of pods that own at least one intra-pod link.
-    ///
-    /// The useful-parallelism measure for sharded solving: only such a
-    /// pod can carry pod-local *network* flows (a singleton-host pod —
-    /// the dumbbell degeneracy — has none, so every flow it sources is
-    /// boundary work for the reconciler).
-    pub fn pods_with_links(&self, topo: &Topology) -> usize {
-        let mut has_link = vec![false; self.n_pods as usize];
-        for l in topo.links() {
-            if let Some(p) = self.pod_of_link(l) {
-                has_link[p as usize] = true;
-            }
-        }
-        has_link.iter().filter(|&&h| h).count()
     }
 }
 

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use choreo_repro::flowsim::{
     hop_resource, max_min_rates, FlowArena, FlowKey, FlowSim, FlowSlot, FlowStatus, MaxMinSolver,
-    ProbeBatch, ResourcePartition, ScenarioPool, ShardedSolver, SolverMode,
+    ProbeBatch,
 };
 use choreo_repro::lp::{solve_lp, Lp, LpOutcome, Relation};
 use choreo_repro::measure::{NetworkSnapshot, RateModel};
@@ -286,14 +286,13 @@ proptest! {
     }
 }
 
-// --------------------------------------------------------- sharded solves
+// ------------------------------------------------- engine-shaped churn
 
-/// The test topologies for the sharded solve: the Fig. 3(a) dumbbell
-/// (degenerate partition: every host its own pod, all flows boundary),
-/// the Fig. 3(b) two-rack cloud (two pods joined by one agg), and the
-/// Fig. 5 multi-rooted tree (three pods under two cores, the intended
-/// workload), optionally with the second aggregation tier.
-fn sharded_topology(kind: u8) -> Topology {
+/// The engine-shaped test topologies: the Fig. 3(a) dumbbell, the
+/// Fig. 3(b) two-rack cloud (two racks joined by one agg), and the
+/// Fig. 5 multi-rooted tree (three pods under two cores), optionally
+/// with the second aggregation tier.
+fn test_topology(kind: u8) -> Topology {
     let edge = LinkSpec::new(GBIT, 5 * MICROS);
     let fabric = LinkSpec::new(10.0 * GBIT, 5 * MICROS);
     match kind % 4 {
@@ -336,137 +335,6 @@ fn host_pair_path(
     res
 }
 
-proptest! {
-    // CI cranks this suite with PROPTEST_CASES (read explicitly, so the
-    // override works with real proptest's precedence too: env beats an
-    // explicit with_cases only because we ask it to here).
-    #![proptest_config(ProptestConfig::with_cases(proptest::resolve_cases(48)))]
-    #[test]
-    fn sharded_solves_bitmatch_cold_solves_under_churn(
-        topo_kind in 0u8..4,
-        ops in prop::collection::vec((0u8..8, any::<u16>(), any::<u16>(), any::<u16>()), 1..24),
-    ) {
-        // Three independent sharded stacks (1, 2 and 8 workers) chase the
-        // same churn through adds, removes, replace-recycled-slot churn,
-        // resource-space growth (late hoses land on the spine), capacity
-        // retuning (link degradations and recoveries) and
-        // interleaved probes; after every event each stack's rates must
-        // bit-match a cold solve of the same flow set, on every topology —
-        // including the dumbbell, whose partition degenerates to
-        // singleton pods with every flow on the boundary. Each stack
-        // drives its own arena replica: the incremental split chains on
-        // the arena's dirty window, whose consumer must be unique per
-        // arena (the documented warm-solve contract). The replicas see
-        // identical op sequences, so their slot assignments stay in
-        // lockstep (asserted).
-        let topo = sharded_topology(topo_kind);
-        let routes = RouteTable::new(&topo);
-        let part = ResourcePartition::for_topology(&topo);
-        let hosts = topo.hosts().to_vec();
-        let n_links2 = topo.link_count() * 2;
-        let mut caps: Vec<f64> =
-            topo.links().iter().flat_map(|l| [l.spec.rate_bps, l.spec.rate_bps]).collect();
-        caps.extend(std::iter::repeat_n(4.2e9, hosts.len())); // loopbacks
-        // Replicas 0-2 belong to the sharded stacks; replica 3 is the
-        // cold-reference arena (cold solves never touch dirty windows).
-        let mut arenas: Vec<FlowArena> = (0..4).map(|_| FlowArena::new(caps.len())).collect();
-        let mut hoses: Vec<u32> = Vec::new();
-        let mut live: Vec<FlowSlot> = Vec::new();
-        let mut stacks: Vec<(ShardedSolver, MaxMinSolver, Vec<f64>)> = [1usize, 2, 8]
-            .into_iter()
-            .map(|w| (ShardedSolver::new(w), MaxMinSolver::new(), Vec::new()))
-            .collect();
-        let mut cold = MaxMinSolver::new();
-        let mut cold_rates = Vec::new();
-        let path_of = |a: u16, b: u16, h: u64, hoses: &[u32], with_hose: bool| {
-            host_pair_path(&routes, &hosts, n_links2, a, b, h, hoses.last().filter(|_| with_hose))
-        };
-        for (opno, &(op, a, b, c)) in ops.iter().enumerate() {
-            let h = (opno as u64) << 32 | (a as u64) << 16 | b as u64;
-            match op {
-                0 if !live.is_empty() => {
-                    let victim = a as usize % live.len();
-                    let slot = live.swap_remove(victim);
-                    for arena in &mut arenas {
-                        arena.remove(slot);
-                    }
-                }
-                1 if !live.is_empty() => {
-                    // Replace: the add recycles the vacated slot.
-                    let victim = a as usize % live.len();
-                    let slot = live.swap_remove(victim);
-                    let path = path_of(b, c, h, &hoses, false);
-                    for arena in &mut arenas {
-                        arena.remove(slot);
-                        let slot2 = arena.add(&path);
-                        prop_assert_eq!(slot2, slot, "recycled slot expected");
-                    }
-                    live.push(slot);
-                }
-                2 => {
-                    // Register a hose: a resource the partition has never
-                    // seen (it maps to the spine shard).
-                    let id = arenas[0].n_resources();
-                    for arena in &mut arenas {
-                        arena.grow_resources(id + 1);
-                    }
-                    caps.push(2.5e8 + 1e6 * (a % 64) as f64);
-                    hoses.push(id as u32);
-                }
-                4 => {
-                    // Retune a live resource's capacity (a link degraded
-                    // or recovered mid-run): every replica marks it in
-                    // its dirty window, and the sharded solves must
-                    // re-agree with cold at the new capacity.
-                    let r = a as usize % caps.len();
-                    caps[r] = 1e8 + 1e6 * (b % 512) as f64;
-                    for arena in &mut arenas {
-                        arena.touch_resource(r as u32);
-                    }
-                }
-                _ => {
-                    let path = path_of(a, b, h, &hoses, op == 3 && !hoses.is_empty());
-                    let mut slot = None;
-                    for arena in &mut arenas {
-                        let s = arena.add(&path);
-                        prop_assert!(slot.is_none_or(|prev| prev == s), "replicas diverged");
-                        slot = Some(s);
-                    }
-                    live.push(slot.unwrap());
-                }
-            }
-            arenas[3].check_invariants();
-            cold.solve(&caps, &arenas[3], &mut cold_rates);
-            for (i, (sharded, main, rates)) in stacks.iter_mut().enumerate() {
-                sharded.solve_sharded(&caps, &mut arenas[i], &part, main, rates);
-                prop_assert_eq!(rates.len(), cold_rates.len());
-                for (slot, (got, want)) in rates.iter().zip(&cold_rates).enumerate() {
-                    prop_assert_eq!(
-                        got.to_bits(), want.to_bits(),
-                        "op {opno} (stack {i}): slot {slot} sharded {} vs cold {}",
-                        got, want
-                    );
-                }
-            }
-            // The reconciled log serves probes: a what-if over it must
-            // bit-match adding the candidate for real.
-            let cand = path_of(b, a, h ^ 0x51ED, &hoses, false);
-            let mut ref_arena = arenas[3].clone();
-            let probe_slot = ref_arena.add(&cand);
-            let mut ref_solver = MaxMinSolver::new();
-            let mut ref_rates = Vec::new();
-            ref_solver.solve(&caps, &ref_arena, &mut ref_rates);
-            for (i, (_, main, _)) in stacks.iter_mut().enumerate() {
-                let got = main.probe(&caps, &arenas[i], &cand);
-                prop_assert_eq!(
-                    got.to_bits(), ref_rates[probe_slot.0 as usize].to_bits(),
-                    "op {}: probe over the sharded log diverged", opno
-                );
-            }
-        }
-    }
-}
-
 // ---------------------------------------------- flow-record recycling
 
 /// FNV-1a fold of one 64-bit word into a running digest.
@@ -481,100 +349,87 @@ proptest! {
         topo_kind in 0u8..4,
         ops in prop::collection::vec((0u8..4, any::<u16>(), any::<u16>(), 1u64..32), 1..20),
     ) {
-        // Two sims per sharded worker count (1, 2, 8) replay the same
-        // event program: one releases every completed flow's record as
-        // soon as it retires (recycling), the other never releases —
-        // the pre-recycling append-only record table. FNV-1a digests
-        // over every observable (allocated-rate bits after each op,
-        // delivered bytes and completion time of every flow when it is
-        // harvested) must be identical across the two sims and across
-        // all worker counts, while the recycling sim's record table
-        // must stay at the peak concurrent flow count instead of
-        // growing with flow history.
-        let topo = Arc::new(sharded_topology(topo_kind));
+        // Two sims replay the same event program: one releases every
+        // completed flow's record as soon as it retires (recycling), the
+        // other never releases — the pre-recycling append-only record
+        // table. FNV-1a digests over every observable (allocated-rate
+        // bits after each op, delivered bytes and completion time of
+        // every flow when it is harvested) must be identical across the
+        // two sims, while the recycling sim's record table must stay at
+        // the peak concurrent flow count instead of growing with flow
+        // history.
+        let topo = Arc::new(test_topology(topo_kind));
         let routes = Arc::new(RouteTable::new(&topo));
         let loopback = LinkSpec::new(10.0 * GBIT, MICROS);
         let hosts = topo.hosts().to_vec();
-        let mut digests: Vec<u64> = Vec::new();
-        let mut started_total = 0usize;
-        for workers in [1usize, 2, 8] {
-            let mut recycle = FlowSim::new(topo.clone(), routes.clone(), loopback, 42);
-            let mut unbounded = FlowSim::new(topo.clone(), routes.clone(), loopback, 42);
-            recycle.set_solver_mode(SolverMode::sharded(workers));
-            unbounded.set_solver_mode(SolverMode::sharded(workers));
-            // Flows still tracked: (tag, key in recycle, key in unbounded).
-            let mut live: Vec<(u64, FlowKey, FlowKey)> = Vec::new();
-            let (mut dr, mut du) = (0xcbf29ce484222325u64, 0xcbf29ce484222325u64);
-            let mut started = 0usize;
-            for (opno, &(op, a, b, n)) in ops.iter().enumerate() {
-                let t = (opno as u64 + 1) * 200_000;
-                match op {
-                    // Stop a tracked flow (else fall through to a start).
-                    2 if !live.is_empty() => {
-                        let (_, kr, ku) = live[a as usize % live.len()];
-                        recycle.stop_flow_at(kr, recycle.now());
-                        unbounded.stop_flow_at(ku, unbounded.now());
-                    }
-                    _ => {
-                        let src = hosts[a as usize % hosts.len()];
-                        let dst = hosts[b as usize % hosts.len()];
-                        // op 1 starts an unbounded flow; others are
-                        // bounded so they retire mid-run.
-                        let bytes = (op != 1).then_some(n * 10_000);
-                        let tag = opno as u64;
-                        let kr = recycle.start_flow(src, dst, bytes, None, recycle.now(), tag);
-                        let ku = unbounded.start_flow(src, dst, bytes, None, unbounded.now(), tag);
-                        live.push((tag, kr, ku));
-                        started += 1;
-                    }
+        let mut recycle = FlowSim::new(topo.clone(), routes.clone(), loopback, 42);
+        let mut unbounded = FlowSim::new(topo.clone(), routes.clone(), loopback, 42);
+        // Flows still tracked: (tag, key in recycle, key in unbounded).
+        let mut live: Vec<(u64, FlowKey, FlowKey)> = Vec::new();
+        let (mut dr, mut du) = (0xcbf29ce484222325u64, 0xcbf29ce484222325u64);
+        let mut started = 0usize;
+        for (opno, &(op, a, b, n)) in ops.iter().enumerate() {
+            let t = (opno as u64 + 1) * 200_000;
+            match op {
+                // Stop a tracked flow (else fall through to a start).
+                2 if !live.is_empty() => {
+                    let (_, kr, ku) = live[a as usize % live.len()];
+                    recycle.stop_flow_at(kr, recycle.now());
+                    unbounded.stop_flow_at(ku, unbounded.now());
                 }
-                recycle.run_until(t);
-                unbounded.run_until(t);
-                // Digest the full observable state, then harvest + release
-                // retired flows — at the same instant in both sims.
-                live.retain(|&(tag, kr, ku)| {
-                    dr = fnv1a(dr, recycle.rate_bps(kr).to_bits());
-                    du = fnv1a(du, unbounded.rate_bps(ku).to_bits());
-                    let done_r = matches!(recycle.status(kr), FlowStatus::Done(_));
-                    let done_u = matches!(unbounded.status(ku), FlowStatus::Done(_));
-                    assert_eq!(done_r, done_u, "op {opno}: sims disagree on flow {tag} status");
-                    if done_r {
-                        dr = fnv1a(dr, recycle.delivered_bytes(kr));
-                        du = fnv1a(du, unbounded.delivered_bytes(ku));
-                        dr = fnv1a(dr, recycle.completion_time(kr).unwrap());
-                        du = fnv1a(du, unbounded.completion_time(ku).unwrap());
-                        recycle.release_flow(kr);
-                    }
-                    !done_r
-                });
-                prop_assert_eq!(dr, du, "op {}: trajectories diverged", opno);
+                _ => {
+                    let src = hosts[a as usize % hosts.len()];
+                    let dst = hosts[b as usize % hosts.len()];
+                    // op 1 starts an unbounded flow; others are bounded so
+                    // they retire mid-run.
+                    let bytes = (op != 1).then_some(n * 10_000);
+                    let tag = opno as u64;
+                    let kr = recycle.start_flow(src, dst, bytes, None, recycle.now(), tag);
+                    let ku = unbounded.start_flow(src, dst, bytes, None, unbounded.now(), tag);
+                    live.push((tag, kr, ku));
+                    started += 1;
+                }
             }
-            // Drain every remaining bounded flow, then harvest the rest.
-            let end_r = recycle.run_to_completion();
-            let end_u = unbounded.run_to_completion();
-            prop_assert_eq!(end_r, end_u, "completion times diverged");
-            for &(_, kr, ku) in &live {
-                dr = fnv1a(dr, recycle.delivered_bytes(kr));
-                du = fnv1a(du, unbounded.delivered_bytes(ku));
-            }
-            prop_assert_eq!(dr, du, "final digests diverged");
-            digests.push(dr);
-            // The memory claim: the unbounded sim's record table grew
-            // with flow history; the recycling sim's stayed at the
-            // concurrent population (live + not-yet-released retirees).
-            prop_assert_eq!(unbounded.flow_records(), started);
-            prop_assert!(
-                recycle.flow_records() <= 2 * recycle.peak_active_flows().max(1),
-                "{} records for peak {} concurrent flows",
-                recycle.flow_records(),
-                recycle.peak_active_flows()
-            );
-            started_total = started;
+            recycle.run_until(t);
+            unbounded.run_until(t);
+            // Digest the full observable state, then harvest + release
+            // retired flows — at the same instant in both sims.
+            live.retain(|&(tag, kr, ku)| {
+                dr = fnv1a(dr, recycle.rate_bps(kr).to_bits());
+                du = fnv1a(du, unbounded.rate_bps(ku).to_bits());
+                let done_r = matches!(recycle.status(kr), FlowStatus::Done(_));
+                let done_u = matches!(unbounded.status(ku), FlowStatus::Done(_));
+                assert_eq!(done_r, done_u, "op {opno}: sims disagree on flow {tag} status");
+                if done_r {
+                    dr = fnv1a(dr, recycle.delivered_bytes(kr));
+                    du = fnv1a(du, unbounded.delivered_bytes(ku));
+                    dr = fnv1a(dr, recycle.completion_time(kr).unwrap());
+                    du = fnv1a(du, unbounded.completion_time(ku).unwrap());
+                    recycle.release_flow(kr);
+                }
+                !done_r
+            });
+            prop_assert_eq!(dr, du, "op {}: trajectories diverged", opno);
         }
-        prop_assert!(started_total > 0);
+        // Drain every remaining bounded flow, then harvest the rest.
+        let end_r = recycle.run_to_completion();
+        let end_u = unbounded.run_to_completion();
+        prop_assert_eq!(end_r, end_u, "completion times diverged");
+        for &(_, kr, ku) in &live {
+            dr = fnv1a(dr, recycle.delivered_bytes(kr));
+            du = fnv1a(du, unbounded.delivered_bytes(ku));
+        }
+        prop_assert_eq!(dr, du, "final digests diverged");
+        prop_assert!(started > 0);
+        // The memory claim: the unbounded sim's record table grew with
+        // flow history; the recycling sim's stayed at the concurrent
+        // population (live + not-yet-released retirees).
+        prop_assert_eq!(unbounded.flow_records(), started);
         prop_assert!(
-            digests.iter().all(|&d| d == digests[0]),
-            "digest differs across worker counts: {:?}", digests
+            recycle.flow_records() <= 2 * recycle.peak_active_flows().max(1),
+            "{} records for peak {} concurrent flows",
+            recycle.flow_records(),
+            recycle.peak_active_flows()
         );
     }
 }
@@ -665,18 +520,18 @@ proptest! {
         ops in prop::collection::vec((0u8..8, any::<u16>(), any::<u16>(), any::<u16>()), 1..24),
         cands in prop::collection::vec((any::<u16>(), any::<u16>(), any::<bool>()), 1..8),
     ) {
-        // Two solvers chase the same churn (adds, removes, recycled-slot
-        // replaces, new hoses, capacity retunes announced through
-        // touch_resource), each on its own arena replica: one chains warm
-        // solves, the other is a 2-worker sharded stack whose log is
-        // merged from shard logs. After every event both logs serve a
-        // probe batch (the first probe rebuilds the saturation index), and
-        // every rate must bit-match adding the candidate to the arena and
-        // solving from scratch. `uniform` gives every resource the same
-        // capacity, so shares tie and logged keys dip.
-        let topo = sharded_topology(topo_kind);
+        // A warm-chaining solver chases churn (adds, removes,
+        // recycled-slot replaces, new hoses, capacity retunes announced
+        // through touch_resource) on one arena replica; the other replica
+        // is the cold reference (cold solves never touch dirty windows).
+        // After every event the warm rates must bit-match a cold solve,
+        // and the warm log serves a probe batch (the first probe rebuilds
+        // the saturation index) whose every rate must bit-match adding
+        // the candidate to the arena and solving from scratch. `uniform`
+        // gives every resource the same capacity, so shares tie and
+        // logged keys dip.
+        let topo = test_topology(topo_kind);
         let routes = RouteTable::new(&topo);
-        let part = ResourcePartition::for_topology(&topo);
         let hosts = topo.hosts().to_vec();
         let n_links2 = topo.link_count() * 2;
         let mut caps: Vec<f64> = if uniform {
@@ -692,12 +547,10 @@ proptest! {
                 1e8 + 1e6 * (b % 512) as f64
             }
         };
-        // Replica 0: warm stack; 1: sharded stack; 2: reference.
-        let mut arenas: Vec<FlowArena> = (0..3).map(|_| FlowArena::new(caps.len())).collect();
+        // Replica 0: warm stack; 1: reference.
+        let mut arenas: Vec<FlowArena> = (0..2).map(|_| FlowArena::new(caps.len())).collect();
         let mut warm = MaxMinSolver::new();
-        let mut sharded = ShardedSolver::new(2);
-        let mut main = MaxMinSolver::new();
-        let mut rates = Vec::new();
+        let (mut rates, mut cold_rates) = (Vec::new(), Vec::new());
         let mut hoses: Vec<u32> = Vec::new();
         let mut live: Vec<FlowSlot> = Vec::new();
         let (mut batch, mut out) = (ProbeBatch::new(), Vec::new());
@@ -746,8 +599,16 @@ proptest! {
                     live.push(slot.unwrap());
                 }
             }
+            arenas[1].check_invariants();
             warm.solve_warm(&caps, &mut arenas[0], &mut rates);
-            sharded.solve_sharded(&caps, &mut arenas[1], &part, &mut main, &mut rates);
+            MaxMinSolver::new().solve(&caps, &arenas[1], &mut cold_rates);
+            prop_assert_eq!(rates.len(), cold_rates.len());
+            for (slot, (got, want)) in rates.iter().zip(&cold_rates).enumerate() {
+                prop_assert_eq!(
+                    got.to_bits(), want.to_bits(),
+                    "op {}: slot {} warm {} vs cold {}", opno, slot, got, want
+                );
+            }
             batch.clear();
             for (i, &(x, y, with_hose)) in cands.iter().enumerate() {
                 let hose = hoses.last().filter(|_| with_hose);
@@ -756,59 +617,19 @@ proptest! {
             }
             let mut want = Vec::with_capacity(batch.len());
             for i in 0..batch.len() {
-                let mut ref_arena = arenas[2].clone();
+                let mut ref_arena = arenas[1].clone();
                 let slot = ref_arena.add(batch.resources(i));
                 let mut ref_rates = Vec::new();
                 MaxMinSolver::new().solve(&caps, &ref_arena, &mut ref_rates);
                 want.push(ref_rates[slot.0 as usize].to_bits());
             }
-            for (name, solver, arena) in
-                [("warm", &mut warm, &arenas[0]), ("sharded", &mut main, &arenas[1])]
-            {
-                solver.probe_batch(&caps, arena, &batch, &mut out);
-                let got: Vec<u64> = out.iter().map(|r| r.to_bits()).collect();
-                prop_assert_eq!(&got, &want, "op {}: {} probes diverged", opno, name);
-                // A single probe reads the same, already built index.
-                let one = solver.probe(&caps, arena, batch.resources(0)).to_bits();
-                prop_assert_eq!(one, want[0], "op {}: {} single probe diverged", opno, name);
-            }
+            warm.probe_batch(&caps, &arenas[0], &batch, &mut out);
+            let got: Vec<u64> = out.iter().map(|r| r.to_bits()).collect();
+            prop_assert_eq!(&got, &want, "op {}: probes diverged", opno);
+            // A single probe reads the same, already built index.
+            let one = warm.probe(&caps, &arenas[0], batch.resources(0)).to_bits();
+            prop_assert_eq!(one, want[0], "op {}: single probe diverged", opno);
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-    #[test]
-    fn scenario_pool_results_identical_for_any_worker_count(
-        caps in prop::collection::vec(1.0f64..1000.0, 1..6),
-        base_paths in prop::collection::vec(prop::collection::vec(0usize..6, 1..4), 0..10),
-        scenario_paths in prop::collection::vec(prop::collection::vec(0usize..6, 1..4), 1..20),
-    ) {
-        let nr = caps.len();
-        let norm = |path: &Vec<usize>| -> Vec<u32> {
-            let mut f: Vec<u32> = path.iter().map(|r| (r % nr) as u32).collect();
-            f.sort_unstable();
-            f.dedup();
-            f
-        };
-        let mut arena = FlowArena::new(nr);
-        for p in &base_paths {
-            arena.add(&norm(p));
-        }
-        let scenarios: Vec<Vec<u32>> = scenario_paths.iter().map(norm).collect();
-        // Scenario: add a hypothetical flow, solve, score it, restore.
-        let score = |ctx: &mut choreo_repro::flowsim::ScenarioCtx, path: &Vec<u32>| {
-            let probe = ctx.arena.add(path);
-            ctx.solver.solve(&caps, &ctx.arena, &mut ctx.rates);
-            let rate = ctx.rates[probe.0 as usize];
-            ctx.arena.remove(probe);
-            rate.to_bits()
-        };
-        let serial = ScenarioPool::new(1).evaluate(&arena, &scenarios, score);
-        let two = ScenarioPool::new(2).evaluate(&arena, &scenarios, score);
-        let eight = ScenarioPool::new(8).evaluate(&arena, &scenarios, score);
-        prop_assert_eq!(&serial, &two, "2 workers diverged");
-        prop_assert_eq!(&serial, &eight, "8 workers diverged");
     }
 }
 
